@@ -263,18 +263,20 @@ def test_pretrain_parallel_throughput():
 
 @contextlib.contextmanager
 def _pr8_kernels():
-    """Temporarily restore PR 8's conv scratch arithmetic in ``repro.nn.functional``.
+    """Temporarily restore PR 8's conv scratch arithmetic.
 
     The reference arm of the PR 10 gate must reproduce what the code shipped
-    before this PR: ``_col2im_*`` promoted float32 columns to float64 for the
-    bincount scatter and cast the result back, and ``_im2col_1d`` gathered
-    through a strided ``sliding_window_view`` transpose.  Both are patched at
-    module level for the duration of the reference arm's fits (the internal
-    call sites resolve the module globals at call time).
+    before PR 10: ``_col2im_*`` (``repro.nn.functional``) promoted float32
+    columns to float64 for the bincount scatter and cast the result back,
+    and ``_im2col_1d`` (``repro.nn.inference``, home of the conv forward)
+    gathered through a strided ``sliding_window_view`` transpose.  Both are
+    patched at module level for the duration of the reference arm's fits
+    (the internal call sites resolve the module globals at call time).
     """
     import repro.nn.functional as F
+    import repro.nn.inference as NI
 
-    col2im_1d, col2im_2d, im2col_1d = F._col2im_1d, F._col2im_2d, F._im2col_1d
+    col2im_1d, col2im_2d, im2col_1d = F._col2im_1d, F._col2im_2d, NI._im2col_1d
 
     def legacy_col2im_1d(cols, x_shape, kernel, stride, dilation):
         return col2im_1d(
@@ -305,13 +307,13 @@ def _pr8_kernels():
 
     F._col2im_1d = legacy_col2im_1d
     F._col2im_2d = legacy_col2im_2d
-    F._im2col_1d = legacy_im2col_1d
+    NI._im2col_1d = legacy_im2col_1d
     try:
         yield
     finally:
         F._col2im_1d = col2im_1d
         F._col2im_2d = col2im_2d
-        F._im2col_1d = im2col_1d
+        NI._im2col_1d = im2col_1d
 
 
 def test_pretrain_arena_throughput():

@@ -17,7 +17,7 @@ comparison baselines interchangeable:
 
 On top of those, :func:`serve` turns a saved bundle into a running
 :class:`repro.serving.ModelServer` — the micro-batching front door over the
-fused inference path.
+estimators' no-grad inference path.
 
 >>> from repro.api import make_estimator, estimator_names
 >>> sorted(estimator_names())  # doctest: +ELLIPSIS

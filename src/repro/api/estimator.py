@@ -107,7 +107,7 @@ class FineTunedPredictorMixin:
     ``self._finetuner`` and ``self._label_map`` inside :meth:`fine_tune`;
     the mixin then exposes batch-sized inference on the facade so callers
     never reach into ``FineTuner`` internals.  Serving streams micro-batches
-    through the fine-tuner's fused no-grad path; the batch size defaults to
+    through the fine-tuner's no-grad forward; the batch size defaults to
     the estimator config's ``encode_batch_size`` when it defines one.
 
     ``self._label_map`` records the class labels the classifier was trained
@@ -154,7 +154,7 @@ class FineTunedPredictorMixin:
         """Merged buffer-arena counters of the estimator's inference workspaces.
 
         Sums ``hits`` / ``misses`` / ``nbytes`` / ``peak_bytes`` / ``buffers``
-        over every :class:`~repro.nn.inference.Workspace` the estimator owns
+        over every :class:`~repro.nn.arena.StepArena` the estimator owns
         (the fine-tuner's prediction arena, the pre-trainer's / baseline's
         ``encode`` arena).  ``ModelServer.stats()`` aggregates this across
         replicas so operators can verify steady-state serving allocates

@@ -36,7 +36,7 @@ from repro.engine import (
     Trainer,
     TrainLoop,
 )
-from repro.nn import Adam, Workspace
+from repro.nn import Adam, StepArena
 from repro.nn.inference import DEFAULT_SERVING_BATCH_SIZE
 from repro.nn.tensor import Tensor, default_dtype
 from repro.utils.seeding import new_rng
@@ -124,8 +124,8 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             self.projection = ProjectionHead(
                 self.config.repr_dim, self.config.proj_dim, rng=int(self._rng.integers(0, 2**31))
             )
-        #: reusable buffer arena of the fused :meth:`encode` serving path
-        self._workspace = Workspace()
+        #: buffer arena of the :meth:`encode` path, advanced once per micro-batch
+        self._workspace = StepArena()
         self._pretrained = False
         self._finetuner: FineTuner | None = None
         self._label_map: np.ndarray | None = None
@@ -468,15 +468,12 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         return self
 
     # ------------------------------------------------------------------ utils
-    def encode(
-        self, X: np.ndarray, *, batch_size: int | None = None, fused: bool = True
-    ) -> np.ndarray:
+    def encode(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
         """Representations from the (pre-trained) encoder, without gradients.
 
         Micro-batches of ``batch_size`` (default ``config.encode_batch_size``)
-        stream through the fused no-grad inference path in the configured
-        compute dtype; ``fused=False`` runs the plain eval-mode autograd
-        forward instead.
+        run the encoder ``forward`` under ``no_grad()`` in eval mode and the
+        configured compute dtype (:func:`repro.nn.inference.batched_infer`).
         """
         from repro.nn.inference import batched_infer
 
@@ -485,7 +482,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             z_normalize(np.asarray(X, dtype=self.dtype_policy.np_compute_dtype)),
             batch_size=batch_size or self.config.encode_batch_size,
             workspace=self._workspace,
-            fused=fused,
         )
 
 

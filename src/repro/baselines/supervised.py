@@ -106,19 +106,15 @@ class SupervisedCNN(FineTunedPredictorMixin):
 
     def encode(self, X: np.ndarray, *, batch_size: int = 64) -> np.ndarray:
         """Representations from the trained encoder (requires :meth:`fine_tune`)."""
-        from repro.nn.tensor import no_grad
+        from repro.nn.inference import batched_infer
 
         self._require_fitted()
-        encoder = self._finetuner.encoder
-        X = z_normalize(np.asarray(X, dtype=np.float64))
-        encoder.eval()
-        with no_grad():
-            outputs = [
-                encoder(X[start : start + batch_size]).data
-                for start in range(0, X.shape[0], batch_size)
-            ]
-        encoder.train()
-        return np.concatenate(outputs, axis=0)
+        return batched_infer(
+            self._finetuner.encoder,
+            z_normalize(np.asarray(X, dtype=np.float64)),
+            batch_size=batch_size,
+            workspace=self._finetuner._workspace,
+        )
 
     # ------------------------------------------------------------ persistence
     def save(self, path) -> str:

@@ -74,10 +74,10 @@ class AimTSConfig:
         cost (see the float32/float64 parity suite).
     encode_batch_size:
         Micro-batch size of the serving surfaces (``encode`` / ``predict`` /
-        ``predict_proba``), which stream batches through the fused no-grad
+        ``predict_proba``), which stream batches through the no-grad
         inference path.  256 (up from 64) quarters the per-micro-batch
-        dispatch overhead and hands threaded BLAS wider matmuls; the fused
-        workspace reuses its buffers either way.
+        dispatch overhead and hands threaded BLAS wider matmuls; the
+        inference arena reuses its buffers either way.
     n_workers:
         Sharded data-parallel pre-training: with ``n_workers >= 2`` every
         mini-batch is split across a persistent pool of spawn-safe gradient

@@ -26,7 +26,7 @@ from repro.engine import (
     TrainLoop,
     dropout_rngs,
 )
-from repro.nn import Adam, Workspace
+from repro.nn import Adam, StepArena
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, default_dtype
 from repro.utils.seeding import new_rng
@@ -76,8 +76,8 @@ class FineTuner:
         self.n_variables: int | None = None
         #: the engine driver of the most recent / active fit() call
         self.trainer: Trainer | None = None
-        #: reusable buffer arena of the fused prediction path
-        self._workspace = Workspace()
+        #: buffer arena of the prediction path, advanced once per micro-batch
+        self._workspace = StepArena()
 
     def _compute_dtype(self) -> np.dtype:
         """The precision this fine-tuner runs under — the encoder's parameter
@@ -153,15 +153,12 @@ class FineTuner:
         self.trainer.fit(self.config.epochs)
         return LossCurve(history.curve("loss"), history)
 
-    def predict_logits(
-        self, X: np.ndarray, *, batch_size: int | None = None, fused: bool = True
-    ) -> np.ndarray:
+    def predict_logits(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
         """Evaluation-mode class logits ``(n, n_classes)`` for ``(n, M, T)`` samples.
 
-        Micro-batches stream through the fused no-grad inference path
-        (raw-array kernels, reusable workspace, dropout skipped) when the
-        encoder supports it; ``fused=False`` — or an encoder without an
-        ``infer`` method — runs the plain eval-mode autograd forward.
+        Micro-batches run the encoder and classifier ``forward`` under
+        ``no_grad()`` in eval mode (dropout skipped), pooling buffers in the
+        fine-tuner's arena (:func:`repro.nn.inference.batched_infer`).
         ``batch_size`` defaults to ``repro.nn.inference.
         DEFAULT_SERVING_BATCH_SIZE`` (256).
         """
@@ -174,7 +171,6 @@ class FineTuner:
             z_normalize(np.asarray(X, dtype=self._compute_dtype())),
             batch_size=batch_size or DEFAULT_SERVING_BATCH_SIZE,
             workspace=self._workspace,
-            fused=fused,
             head=self.classifier,
         )
 

@@ -97,7 +97,7 @@ class AimTS(FineTunedPredictorMixin):
         """Representations of ``(n, M, T)`` samples from the (pre-trained) TS encoder.
 
         Streams micro-batches of ``batch_size`` (default
-        ``config.encode_batch_size``) through the fused no-grad inference
+        ``config.encode_batch_size``) through the no-grad inference
         path in the configured ``compute_dtype``.
         """
         return self.pretrainer.encode(X, batch_size=batch_size)

@@ -34,7 +34,7 @@ from repro.engine import (
 )
 from repro.engine.profiler import profiled_phase
 from repro.imaging import LineChartRenderer, RenderCache
-from repro.nn import Adam, StepLR, Tensor, Workspace
+from repro.nn import Adam, StepArena, StepLR, Tensor
 from repro.nn import functional as F
 from repro.nn.tensor import default_dtype
 from repro.utils.seeding import new_rng
@@ -229,8 +229,8 @@ class AimTSPretrainer:
         #: cross-epoch cache of the deterministic pool renders; built by
         #: :meth:`fit` when ``config.cache_images`` is on.
         self.render_cache: RenderCache | None = None
-        #: reusable buffer arena of the fused :meth:`encode` serving path
-        self._workspace = Workspace()
+        #: buffer arena of the :meth:`encode` path, advanced once per micro-batch
+        self._workspace = StepArena()
         seed = int(self._rng.integers(0, 2**31))
         with default_dtype(self.dtype_policy.np_compute_dtype):
             self.ts_encoder = TSEncoder(
@@ -559,16 +559,13 @@ class AimTSPretrainer:
             self._producer_pool = None
 
     # ------------------------------------------------------------------ utils
-    def encode(
-        self, X: np.ndarray, *, batch_size: int | None = None, fused: bool = True
-    ) -> np.ndarray:
+    def encode(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
         """Encode samples with the pre-trained TS encoder (no gradients).
 
         Micro-batches of ``batch_size`` (default ``config.encode_batch_size``)
-        stream through the fused no-grad inference path: raw-array kernels,
-        reusable im2col workspace buffers, and the configured compute dtype.
-        ``fused=False`` runs the plain eval-mode autograd forward instead —
-        the reference the fused path is verified (and benchmarked) against.
+        run the encoder ``forward`` under ``no_grad()`` in eval mode and the
+        configured compute dtype, pooling buffers in the pre-trainer's arena
+        (:func:`repro.nn.inference.batched_infer`).
         """
         from repro.nn.inference import batched_infer
 
@@ -577,7 +574,6 @@ class AimTSPretrainer:
             np.asarray(X, dtype=self.dtype_policy.np_compute_dtype),
             batch_size=batch_size or self.config.encode_batch_size,
             workspace=self._workspace,
-            fused=fused,
         )
 
 

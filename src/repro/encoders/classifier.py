@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.nn import inference as NI
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_positive
@@ -42,7 +41,3 @@ class ClassifierHead(nn.Module):
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return self.network(x)
-
-    def infer(self, x: np.ndarray, *, workspace: NI.Workspace | None = None) -> np.ndarray:
-        """Fused eval-mode logits on a raw array (dropout skipped entirely)."""
-        return NI.module_forward(self.network, x, workspace=workspace, tag="classifier")

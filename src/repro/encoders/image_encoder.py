@@ -6,7 +6,6 @@ import numpy as np
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn import inference as NI
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_positive
@@ -57,19 +56,3 @@ class ImageEncoder(nn.Module):
         hidden = self.trunk(images)
         pooled = F.adaptive_avg_pool2d(hidden, 1).reshape(hidden.shape[0], hidden.shape[1])
         return self.head(pooled)
-
-    # ------------------------------------------------------------- fused path
-    def infer(self, images: np.ndarray, *, workspace: NI.Workspace | None = None) -> np.ndarray:
-        """Fused no-grad forward on raw ``(B, 3, H, W)`` images.
-
-        Every Conv→BatchNorm pair of the trunk runs as a single convolution
-        with the batch norm folded into its weights (eval-time running
-        statistics), intermediate buffers come from ``workspace``, and no
-        autograd bookkeeping is performed.
-        """
-        images = np.asarray(images, dtype=self.head.weight.data.dtype)
-        if images.ndim != 4:
-            raise ValueError(f"ImageEncoder expects (B, 3, H, W) input, got shape {images.shape}")
-        hidden = NI.module_forward(self.trunk, images, workspace=workspace, tag="trunk")
-        pooled = hidden.sum(axis=(2, 3)) * (1.0 / (hidden.shape[2] * hidden.shape[3]))
-        return pooled @ self.head.weight.data.T + self.head.bias.data

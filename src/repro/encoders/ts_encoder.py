@@ -14,7 +14,6 @@ import numpy as np
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn import inference as NI
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_positive
@@ -48,31 +47,6 @@ class DilatedConvBlock(nn.Module):
         hidden = self.conv1(x).relu()
         hidden = self.conv2(hidden)
         return (hidden + x).relu()
-
-    def infer(self, x: np.ndarray, *, workspace=None, tag: str = "block") -> np.ndarray:
-        """Fused eval-mode forward on a raw array (same arithmetic as autograd)."""
-        hidden = NI.relu_(
-            NI.conv1d_forward(
-                x,
-                self.conv1.weight.data,
-                self.conv1.bias.data,
-                padding=self.conv1.padding,
-                dilation=self.conv1.dilation,
-                workspace=workspace,
-                tag=f"{tag}.conv1",
-            )
-        )
-        hidden = NI.conv1d_forward(
-            hidden,
-            self.conv2.weight.data,
-            self.conv2.bias.data,
-            padding=self.conv2.padding,
-            dilation=self.conv2.dilation,
-            workspace=workspace,
-            tag=f"{tag}.conv2",
-        )
-        hidden += x
-        return NI.relu_(hidden)
 
 
 class TSEncoder(nn.Module):
@@ -178,47 +152,3 @@ class TSEncoder(nn.Module):
                 return encoded.reshape(batch, n_variables * self.repr_dim)
             return encoded.mean(axis=1)
         return self._encode_channels(x)
-
-    # ------------------------------------------------------------- fused path
-    def infer(self, x: np.ndarray, *, workspace: NI.Workspace | None = None) -> np.ndarray:
-        """Fused no-grad forward on a raw ``(B, M, T)`` array.
-
-        Serving entry point: no Tensor wrappers, no autograd bookkeeping, and
-        with a :class:`~repro.nn.inference.Workspace` all intermediate
-        buffers are reused across calls.  Matches the eval-mode autograd
-        forward (the trunk has no dropout or batch norm) up to the
-        batch-invariant linear head (<= 1 ulp), and a sample's representation
-        is bitwise independent of its batch composition.  Runs in the
-        encoder's parameter dtype regardless of the input dtype.
-        """
-        x = np.asarray(x, dtype=self.head.weight.data.dtype)
-        if x.ndim == 2:
-            x = x[:, None, :]
-        if x.ndim != 3:
-            raise ValueError(f"TSEncoder expects (B, M, T) input, got shape {x.shape}")
-        batch, n_variables, length = x.shape
-        flat = (
-            x.reshape(batch * n_variables, 1, length) if self.channel_independent else x
-        )
-        hidden = NI.relu_(
-            NI.conv1d_forward(
-                flat,
-                self.input_conv.weight.data,
-                self.input_conv.bias.data,
-                padding=self.input_conv.padding,
-                workspace=workspace,
-                tag="input_conv",
-            )
-        )
-        for index, block in enumerate(self.blocks):
-            hidden = block.infer(hidden, workspace=workspace, tag=f"block{index}")
-        pooled = hidden.sum(axis=2) * (1.0 / hidden.shape[2])  # (N, hidden)
-        # batch-invariant linear head: a sample's representation must not
-        # depend on how many neighbours shared its (micro-)batch
-        encoded = NI.linear_forward(pooled, self.head)
-        if not self.channel_independent:
-            return encoded
-        encoded = encoded.reshape(batch, n_variables, self.repr_dim)
-        if self.channel_aggregation == "concat":
-            return encoded.reshape(batch, n_variables * self.repr_dim)
-        return encoded.sum(axis=1) * (1.0 / n_variables)

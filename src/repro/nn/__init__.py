@@ -10,9 +10,11 @@ substrate the framework needs:
   loss primitives used by the contrastive objectives.
 * :mod:`~repro.nn.layers` — ``Module`` based layers (Linear, Conv1d, Conv2d,
   BatchNorm, Dropout, activations, containers).
-* :mod:`~repro.nn.inference` — fused no-grad serving kernels: the
-  :class:`~repro.nn.inference.Workspace` buffer arena, raw-array layer
-  kernels and eval-time Conv→BatchNorm folding.
+* :mod:`~repro.nn.arena` — :class:`~repro.nn.arena.StepArena`, the buffer
+  pool training steps and inference micro-batches allocate from.
+* :mod:`~repro.nn.inference` — the convolution forward kernels, load-time
+  Conv→BatchNorm folding and the micro-batch loop behind ``encode`` /
+  ``predict`` (``Module.infer``: ``forward`` under ``no_grad()``).
 * :mod:`~repro.nn.flat` — flat per-dtype parameter/gradient packing used by
   the sharded data-parallel workers (:mod:`repro.engine.parallel`).
 * :mod:`~repro.nn.optim` — SGD, Adam and AdamW optimizers.
@@ -24,8 +26,8 @@ model code reads like the original.
 """
 
 from repro.nn import functional, inference, init
+from repro.nn.arena import StepArena
 from repro.nn.flat import FlatLayout
-from repro.nn.inference import Workspace
 from repro.nn.layers import (
     GELU,
     MLP,
@@ -69,7 +71,7 @@ __all__ = [
     "functional",
     "inference",
     "init",
-    "Workspace",
+    "StepArena",
     "FlatLayout",
     "Linear",
     "Conv1d",

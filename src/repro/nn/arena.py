@@ -1,10 +1,12 @@
-"""Pooled autograd workspaces for the training hot loop.
+"""Pooled autograd workspaces: the one buffer pool of training and inference.
 
-:class:`StepArena` generalizes the inference-side
-:class:`~repro.nn.inference.Workspace` to the *training* step: for a fixed
-configuration the autograd graph has identical topology and shapes every
-step, so every array the forward and backward passes materialise can come
-from a plan-once/reuse-forever pool instead of the allocator.
+For a fixed configuration the autograd graph has identical topology and
+shapes every step, so every array the forward and backward passes
+materialise can come from a plan-once/reuse-forever :class:`StepArena`
+instead of the allocator.  Inference uses the same pool: an estimator's
+``encode`` / ``predict`` surfaces run ``Module.forward`` under ``no_grad()``
+inside their own arena, advanced once per micro-batch
+(:func:`repro.nn.inference.batched_infer`).
 
 Two pool disciplines cover every training allocation pattern:
 
@@ -16,12 +18,14 @@ Two pool disciplines cover every training allocation pattern:
   generation: the N-th identical request of every step returns the same
   buffer, and two live arrays of one step can never alias.  A shape change
   (e.g. the smaller last batch of an epoch) simply populates its own buffer
-  set, exactly like the inference ``Workspace``.
+  set.
 * :meth:`StepArena.scratch` — a **single** buffer per ``(tag, shape,
   dtype)`` for transient temporaries that are consumed immediately (VJP
   products that are copied into a gradient buffer by
-  ``Tensor._accumulate``).  Reusing one slot per call-site keeps the pool
-  footprint proportional to the working set, not the step length.
+  ``Tensor._accumulate``; under ``no_grad()`` also the patch matrices and
+  masks nothing keeps for a backward pass).  Reusing one slot per call-site
+  keeps the pool footprint proportional to the working set, not the step
+  length.
 
 :meth:`StepArena.advance` rolls the generation over between steps — a
 counter reset, not a free/alloc cycle — after which every ``buffer`` slot
@@ -29,23 +33,31 @@ may be handed out again.  Consequently **nothing may retain an arena-backed
 array across steps**; the training engine guarantees this (losses are read
 out as floats, batch-norm running statistics are rebuilt into fresh arrays,
 parameter gradients live in per-tensor private buffers, and checkpoints
-copy).  ``hits`` / ``misses`` / ``peak_bytes`` make the steady-state
+copy), and ``batched_infer`` copies each micro-batch's result out before
+the next advance.  ``hits`` / ``misses`` / ``peak_bytes`` make the steady-state
 contract testable: after warmup a fixed-shape step performs zero misses.
 
 The arena reaches the compute core the same way a
-:class:`~repro.engine.state.DtypePolicy` does — through a scoped module
-global (:func:`use_arena` / :func:`active_arena`) that the
+:class:`~repro.engine.state.DtypePolicy` does — through a per-thread scope
+(:func:`use_arena` / :func:`active_arena`) that the
 :class:`~repro.engine.trainer.Trainer` enters around ``fit``.  An arena is
-not thread-safe; sharded / pipelined replicas each own a private one.
+not thread-safe; sharded / pipelined replicas and serving replicas each own
+a private one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
-_ACTIVE_ARENA: "StepArena | None" = None
+
+class _ArenaScope(threading.local):
+    arena: "StepArena | None" = None
+
+
+_SCOPE = _ArenaScope()
 
 
 def _normalized_strides(array: np.ndarray) -> tuple[int, ...]:
@@ -86,25 +98,24 @@ def result_template(shape: tuple[int, ...], *operands: np.ndarray | None) -> np.
 
 
 def active_arena() -> "StepArena | None":
-    """The arena the current training scope pools through (None = allocate)."""
-    return _ACTIVE_ARENA
+    """The arena the calling thread's scope pools through (None = allocate)."""
+    return _SCOPE.arena
 
 
 def set_active_arena(arena: "StepArena | None") -> "StepArena | None":
-    """Install ``arena`` as the ambient pool; returns the previous one.
+    """Install ``arena`` as the calling thread's pool; returns the previous one.
 
     Prefer the scoped :func:`use_arena` context manager (which the training
     engine uses) over calling this directly.
     """
-    global _ACTIVE_ARENA
-    previous = _ACTIVE_ARENA
-    _ACTIVE_ARENA = arena
+    previous = _SCOPE.arena
+    _SCOPE.arena = arena
     return previous
 
 
 @contextlib.contextmanager
 def use_arena(arena: "StepArena | None"):
-    """Scope within which the autograd kernels pool buffers in ``arena``.
+    """Scope within which the calling thread's kernels pool buffers in ``arena``.
 
     ``None`` is a valid argument and simply keeps the allocate-fresh
     behaviour — callers can thread an optional arena without branching.
@@ -117,7 +128,7 @@ def use_arena(arena: "StepArena | None"):
 
 
 class StepArena:
-    """A per-step buffer arena for the training forward/backward passes.
+    """A per-step buffer arena for the forward/backward passes.
 
     See the module docstring for the pooling disciplines.  Stats:
 
@@ -126,7 +137,8 @@ class StepArena:
     hits, misses:
         Pool reuses vs fresh allocations, over the arena's lifetime.
     generation:
-        Number of completed :meth:`advance` calls (≈ training steps served).
+        Number of completed :meth:`advance` calls (≈ training steps or
+        inference micro-batches served).
     peak_bytes:
         High-water mark of :meth:`nbytes` (sampled on allocation).
     """

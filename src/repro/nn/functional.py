@@ -3,14 +3,18 @@
 The convolutions are implemented with im2col/col2im so that both the forward
 and backward passes reduce to dense matrix multiplications, which keeps the
 pure-NumPy substrate fast enough for the experiments in this reproduction.
+Their forward arithmetic lives in :mod:`repro.nn.inference`
+(``conv1d_forward`` / ``conv2d_forward``); the nodes here add the input
+checks and the backward closures.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import inference as NI
 from repro.nn.arena import active_arena, result_template
-from repro.nn.tensor import Tensor, _unbroadcast, get_default_dtype
+from repro.nn.tensor import Tensor, _unbroadcast, get_default_dtype, is_grad_enabled
 
 
 # --------------------------------------------------------------------------- #
@@ -90,35 +94,8 @@ def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# im2col helpers (1-D)
+# col2im helpers (1-D)
 # --------------------------------------------------------------------------- #
-def _im2col_1d(
-    x: np.ndarray, kernel: int, stride: int, dilation: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Turn ``(B, C, T_padded)`` into ``(B, out_t, C*kernel)`` patches.
-
-    ``out`` optionally receives the patch matrix (an arena buffer of shape
-    ``(B, out_t, C*kernel)``); the copy into it materialises the identical
-    element order the ``ascontiguousarray`` path produces.
-    """
-    batch, channels, length = x.shape
-    span = (kernel - 1) * dilation + 1
-    out_t = (length - span) // stride + 1
-    if out is None:
-        out = np.empty((batch, out_t, channels * kernel), dtype=x.dtype)
-    # fill tap by tap: each tap is one long strided slice of x, so the copy
-    # runs K large memmoves instead of one gather with a K-element inner
-    # loop (3-4x faster for the K=3 trunk convs); a copy is a copy — the
-    # element values (and the C-contiguous patch layout) are identical to
-    # the old transpose-gather
-    taps = out.reshape(batch, out_t, channels, kernel)
-    end = (out_t - 1) * stride + 1
-    for k in range(kernel):
-        offset = k * dilation
-        taps[:, :, :, k] = x[:, :, offset : offset + end : stride].transpose(0, 2, 1)
-    return out
-
-
 def _col2im_1d_reference(
     cols: np.ndarray,
     x_shape: tuple[int, int, int],
@@ -231,10 +208,12 @@ def conv1d(
         backward masks the incoming gradient in the same layout the
         decomposed relu node would before the convolution VJPs run.
 
-    When a :class:`~repro.nn.arena.StepArena` is active, the padded input,
-    patch matrix, output and relu mask all come from pooled buffers and the
-    matmuls write through ``out=`` — the same arithmetic, no steady-state
-    allocations.
+    The forward is :func:`repro.nn.inference.conv1d_forward`: with an
+    active :class:`~repro.nn.arena.StepArena` the padded input, patch
+    matrix, output and relu mask all come from pooled buffers — the same
+    arithmetic, no steady-state allocations.  When no gradient is recorded
+    (``no_grad()``, or no operand requires one) the node keeps nothing for a
+    backward pass.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d expects (B, C, T) input, got shape {x.shape}")
@@ -243,56 +222,23 @@ def conv1d(
         raise ValueError(
             f"input has {x.shape[1]} channels but the kernel expects {in_channels}"
         )
-    arena = active_arena()
-    batch = x.shape[0]
-    if padding:
-        if arena is not None:
-            padded_shape = (batch, in_channels, x.shape[2] + 2 * padding)
-            x_padded = arena.scratch("conv1d.pad", padded_shape, x.data.dtype)
-            x_padded[...] = 0
-            x_padded[:, :, padding : padding + x.shape[2]] = x.data
-        else:
-            x_padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    else:
-        x_padded = x.data
-    span = (kernel - 1) * dilation + 1
-    out_t = (x_padded.shape[2] - span) // stride + 1
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
+    out, cols, mask = NI.conv1d_forward(
+        x.data,
+        weight.data,
+        None if bias is None else bias.data,
+        stride=stride,
+        padding=padding,
+        dilation=dilation,
+        relu=relu,
+        requires_grad=requires_grad,
+    )
+    if not requires_grad:
+        return Tensor(out)
+    batch, out_t = cols.shape[:2]
     w_flat = weight.data.reshape(out_channels, -1)  # (C_out, C_in*K)
-    if arena is not None:
-        cols = _im2col_1d(
-            x_padded,
-            kernel,
-            stride,
-            dilation,
-            out=arena.buffer("conv1d.cols", (batch, out_t, in_channels * kernel), x_padded.dtype),
-        )
-    else:
-        cols = _im2col_1d(x_padded, kernel, stride, dilation)  # (B, out_t, C_in*K)
-    if arena is not None and cols.dtype == w_flat.dtype:
-        out_data = np.matmul(
-            cols, w_flat.T, out=arena.buffer("conv1d.out", (batch, out_t, out_channels), cols.dtype)
-        )
-    else:
-        out_data = cols @ w_flat.T  # (B, out_t, C_out)
-    if bias is not None:
-        if bias.data.dtype == out_data.dtype:
-            out_data += bias.data
-        else:
-            out_data = out_data + bias.data
-    mask = None
-    if relu:
-        # mask kept in the pre-transpose (B, out_t, C_out) layout; the
-        # elementwise product is layout-independent, so this matches the
-        # decomposed relu applied after the transpose bit for bit
-        if arena is not None:
-            mask = np.greater(out_data, 0, out=arena.buffer("conv1d.mask", out_data.shape, np.bool_))
-        else:
-            mask = out_data > 0
-        np.multiply(out_data, mask, out=out_data)
-    out_view = out_data.transpose(0, 2, 1)  # (B, C_out, out_t)
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    x_padded_shape = x_padded.shape
+    x_padded_shape = (batch, in_channels, x.shape[2] + 2 * padding)
 
     def backward(grad):
         pool = active_arena()
@@ -355,37 +301,12 @@ def conv1d(
                 grad_padded = grad_padded[:, :, padding:-padding]
             x._accumulate(grad_padded)
 
-    return Tensor._make(out_view, parents, backward)
+    return Tensor._make(out, parents, backward)
 
 
 # --------------------------------------------------------------------------- #
-# im2col helpers (2-D)
+# col2im helpers (2-D)
 # --------------------------------------------------------------------------- #
-def _im2col_2d(
-    x: np.ndarray,
-    kernel: tuple[int, int],
-    stride: tuple[int, int],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Turn ``(B, C, H, W)`` into ``(B, out_h, out_w, C*kh*kw)`` patches.
-
-    ``out`` optionally receives the patch matrix (see :func:`_im2col_1d`).
-    """
-    kh, kw = kernel
-    sh, sw = stride
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]  # (B, C, out_h, out_w, kh, kw)
-    batch, channels, out_h, out_w = windows.shape[:4]
-    if out is not None:
-        np.copyto(
-            out.reshape(batch, out_h, out_w, channels, kh, kw),
-            windows.transpose(0, 2, 3, 1, 4, 5),
-        )
-        return out
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h, out_w, channels * kh * kw)
-    return np.ascontiguousarray(cols)
-
-
 def _col2im_2d_reference(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -477,7 +398,8 @@ def conv2d(
 
     ``relu`` fuses a ReLU into this node and an active
     :class:`~repro.nn.arena.StepArena` pools every intermediate, exactly as
-    in :func:`conv1d`.
+    in :func:`conv1d`; the forward is
+    :func:`repro.nn.inference.conv2d_forward`.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects (B, C, H, W) input, got shape {x.shape}")
@@ -488,57 +410,23 @@ def conv2d(
         raise ValueError(
             f"input has {x.shape[1]} channels but the kernel expects {in_channels}"
         )
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
+    out, cols, mask = NI.conv2d_forward(
+        x.data,
+        weight.data,
+        None if bias is None else bias.data,
+        stride=stride,
+        padding=padding,
+        relu=relu,
+        requires_grad=requires_grad,
+    )
+    if not requires_grad:
+        return Tensor(out)
     ph, pw = padding
-    arena = active_arena()
-    batch = x.shape[0]
-    if ph or pw:
-        if arena is not None:
-            padded_shape = (batch, in_channels, x.shape[2] + 2 * ph, x.shape[3] + 2 * pw)
-            x_padded = arena.scratch("conv2d.pad", padded_shape, x.data.dtype)
-            x_padded[...] = 0
-            x_padded[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]] = x.data
-        else:
-            x_padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    else:
-        x_padded = x.data
-    sh, sw = stride
-    out_h = (x_padded.shape[2] - kh) // sh + 1
-    out_w = (x_padded.shape[3] - kw) // sw + 1
+    batch, out_h, out_w, patch = cols.shape
     w_flat = weight.data.reshape(out_channels, -1)
-    patch = in_channels * kh * kw
-    if arena is not None:
-        cols = _im2col_2d(
-            x_padded,
-            (kh, kw),
-            stride,
-            out=arena.buffer("conv2d.cols", (batch, out_h, out_w, patch), x_padded.dtype),
-        )
-    else:
-        cols = _im2col_2d(x_padded, (kh, kw), stride)  # (B, oh, ow, C*kh*kw)
-    if arena is not None and cols.dtype == w_flat.dtype:
-        out_data = np.matmul(
-            cols,
-            w_flat.T,
-            out=arena.buffer("conv2d.out", (batch, out_h, out_w, out_channels), cols.dtype),
-        )
-    else:
-        out_data = cols @ w_flat.T  # (B, oh, ow, C_out)
-    if bias is not None:
-        if bias.data.dtype == out_data.dtype:
-            out_data += bias.data
-        else:
-            out_data = out_data + bias.data
-    mask = None
-    if relu:
-        if arena is not None:
-            mask = np.greater(out_data, 0, out=arena.buffer("conv2d.mask", out_data.shape, np.bool_))
-        else:
-            mask = out_data > 0
-        np.multiply(out_data, mask, out=out_data)
-    out_view = out_data.transpose(0, 3, 1, 2)
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    x_padded_shape = x_padded.shape
+    x_padded_shape = (batch, in_channels, x.shape[2] + 2 * ph, x.shape[3] + 2 * pw)
 
     def backward(grad):
         pool = active_arena()
@@ -601,7 +489,7 @@ def conv2d(
                 ]
             x._accumulate(grad_padded)
 
-    return Tensor._make(out_view, parents, backward)
+    return Tensor._make(out, parents, backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -781,10 +669,8 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
 
 
 def _avg_pool1d_data(data: np.ndarray, output_size: int) -> np.ndarray:
-    """Adaptive 1-D average pooling on a raw ``(B, C, T)`` array."""
+    """Adaptive 1-D average pooling on a raw ``(B, C, T)`` array (``output_size > 1``)."""
     batch, channels, length = data.shape
-    if output_size == 1:
-        return data.sum(axis=2, keepdims=True) * (1.0 / length)
     edges = np.linspace(0, length, output_size + 1).astype(int)
     if length % output_size == 0:
         step = length // output_size
@@ -796,10 +682,8 @@ def _avg_pool1d_data(data: np.ndarray, output_size: int) -> np.ndarray:
 
 
 def _avg_pool2d_data(data: np.ndarray, output_size: int) -> np.ndarray:
-    """Adaptive 2-D average pooling on a raw ``(B, C, H, W)`` array."""
+    """Adaptive 2-D average pooling on a raw ``(B, C, H, W)`` array (``output_size > 1``)."""
     batch, channels, height, width = data.shape
-    if output_size == 1:
-        return data.sum(axis=(2, 3), keepdims=True) * (1.0 / (height * width))
     h_edges = np.linspace(0, height, output_size + 1).astype(int)
     w_edges = np.linspace(0, width, output_size + 1).astype(int)
     if height % output_size == 0 and width % output_size == 0:

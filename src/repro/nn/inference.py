@@ -1,234 +1,216 @@
-"""Fused no-grad inference kernels for the NumPy substrate.
+"""Convolution forward kernels, load-time BatchNorm folding and the serving loop.
 
-Training runs through :class:`repro.nn.tensor.Tensor` autograd; serving does
-not need any of that bookkeeping.  This module provides the fused eval-time
-path the estimators' ``encode`` / ``predict`` surfaces stream micro-batches
-through:
+Inference is ``Module.forward`` under ``no_grad()``: the estimators'
+``encode`` / ``predict`` surfaces stream micro-batches through
+:func:`batched_infer`, which runs :meth:`repro.nn.module.Module.infer` on
+each with the estimator's :class:`~repro.nn.arena.StepArena` as the buffer
+pool.  This module holds what that path shares with training:
 
-* :class:`Workspace` — a reusable buffer arena keyed by call-site tag, so
-  repeated ``encode`` calls stop reallocating im2col patch matrices, padded
-  inputs and convolution outputs.
-* :func:`conv1d_forward` / :func:`conv2d_forward` / :func:`linear_forward` —
-  raw-``ndarray`` layer kernels (no Tensor wrappers, no backward closures)
-  computing the same arithmetic as the autograd forward.  The linear kernel
-  is additionally **batch-invariant** (row-wise compute), so a sample's
-  fused result never depends on how many neighbours shared its batch — the
-  property ``repro.serving`` needs for micro-batched responses bit-identical
-  to direct ``predict``; vs. the autograd gemm it differs by <= 1 ulp.
-* :func:`fold_conv_bn` — batch-norm folding: at eval time a BN layer is an
-  affine transform per channel, which folds into the preceding convolution's
-  weights (``w' = w * gamma/sqrt(var+eps)``), removing the BN pass entirely.
-* :func:`module_forward` — a small eval-only interpreter over the layer
-  vocabulary (with automatic Conv→BN folding inside ``Sequential``), used by
-  the encoders' ``infer`` methods and falling back to a ``no_grad`` Tensor
-  forward for unknown modules.
-
-Returned arrays may alias workspace buffers mid-network; every public
-``infer`` entry point ends on an op that allocates a fresh output, so callers
-can hold results across micro-batches safely.  A :class:`Workspace` is not
-thread-safe; use one per serving thread.
+* :func:`conv1d_forward` / :func:`conv2d_forward` — the convolution forward
+  arithmetic (pad → per-tap im2col → matmul → bias → fused ReLU) on raw
+  arrays.  :func:`repro.nn.functional.conv1d` / ``conv2d`` add the input
+  checks and the backward closure on top; under ``no_grad()`` the patch
+  matrix and mask go to arena scratch because no backward pass reads them.
+* :func:`fold_conv_bn` / :func:`fold_batchnorms` — eval-time BatchNorm
+  folding: a BN layer in eval mode is an affine transform per channel, which
+  folds into the preceding convolution's weights
+  (``w' = w * gamma/sqrt(var+eps)``).  Applied once when a bundle loads for
+  serving (``load_estimator(path, eval_mode=True)``).
+* :func:`batched_infer` — the micro-batch loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import layers as L
-from repro.nn.functional import _avg_pool1d_data, _avg_pool2d_data
-from repro.nn.tensor import Tensor, default_dtype, no_grad
+from repro.nn.arena import active_arena
+from repro.nn.tensor import default_dtype
 
 #: serving micro-batch size the estimator configs and ``FineTuner`` default
 #: to (re-exported as ``repro.api.estimator.DEFAULT_SERVING_BATCH_SIZE``).
-#: Profiling for PR 5 (benchmarks/test_perf_inference.py) showed fused
-#: throughput is flat in the micro-batch size once the workspace is warm;
-#: 256 quarters the per-micro-batch dispatch overhead of the old 64 and
-#: hands threaded BLAS wider matmuls.
+#: Inference throughput is flat in the micro-batch size once the arena is
+#: warm; 256 quarters the per-micro-batch dispatch overhead of the old 64
+#: and hands threaded BLAS wider matmuls.
 DEFAULT_SERVING_BATCH_SIZE = 256
 
 
-class Workspace:
-    """A reusable buffer arena for the fused inference path.
-
-    Buffers are keyed by ``(tag, shape, dtype)``, so a serving loop whose
-    last micro-batch is smaller than the rest (``n % batch_size != 0``) keeps
-    one buffer per shape instead of reallocating on every size flip.
-    :attr:`hits` / :attr:`misses` count reuses and allocations, which the
-    perf suite uses to assert that steady-state serving allocates nothing;
-    :attr:`peak_bytes` is the high-water mark of the pooled footprint.  The
-    counters surface through :meth:`stats` (and from there through
-    ``ModelServer.stats()`` and ``bench_report``).
-    """
-
-    __slots__ = ("_buffers", "_nbytes", "hits", "misses", "peak_bytes")
-
-    def __init__(self):
-        self._buffers: dict[tuple, np.ndarray] = {}
-        self._nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.peak_bytes = 0
-
-    def buffer(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Return an uninitialised buffer of ``shape``/``dtype`` for ``tag``."""
-        key = (tag, tuple(shape), np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
-            self.misses += 1
-            self._nbytes += buf.nbytes
-            if self._nbytes > self.peak_bytes:
-                self.peak_bytes = self._nbytes
-        else:
-            self.hits += 1
-        return buf
-
-    def nbytes(self) -> int:
-        """Total bytes currently held by the arena."""
-        return self._nbytes
-
-    def clear(self) -> None:
-        """Drop every buffer (e.g. after a one-off oversized batch)."""
-        self._buffers.clear()
-        self._nbytes = 0
-
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot (plain ints, JSON-safe) for reports and tests."""
-        return {
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-            "nbytes": int(self._nbytes),
-            "peak_bytes": int(self.peak_bytes),
-            "buffers": len(self._buffers),
-        }
-
-
-def _buffer(workspace: Workspace | None, tag: str, shape, dtype) -> np.ndarray:
-    return np.empty(shape, dtype=dtype) if workspace is None else workspace.buffer(tag, shape, dtype)
-
-
 # --------------------------------------------------------------------------- #
-# Layer kernels
+# im2col
 # --------------------------------------------------------------------------- #
-def linear_forward(x: np.ndarray, layer: L.Linear) -> np.ndarray:
-    """``x W^T + b`` on raw arrays; always allocates a fresh output.
+def _im2col_1d(
+    x: np.ndarray, kernel: int, stride: int, dilation: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Turn ``(B, C, T_padded)`` into ``(B, out_t, C*kernel)`` patches.
 
-    2-D inputs are computed row by row (gemv): a full-batch gemm picks its
-    kernel — and therefore its accumulation order — from the row count, so a
-    sample's output would depend on how many neighbours shared its batch.
-    Row-wise compute makes every sample's result independent of batch
-    composition, which the serving micro-batcher (:mod:`repro.serving`)
-    relies on for responses bit-identical under any coalescing.  Higher-rank
-    inputs keep the batched matmul: each leading slice is its own fixed-shape
-    gemm, already composition-independent.
+    ``out`` optionally receives the patch matrix (an arena buffer of shape
+    ``(B, out_t, C*kernel)``); the copy into it materialises the identical
+    element order the ``ascontiguousarray`` path produces.
     """
-    weight_t = layer.weight.data.T
-    if x.ndim == 2:
-        out = np.empty(
-            (x.shape[0], weight_t.shape[1]), dtype=np.result_type(x, weight_t)
-        )
-        for index in range(x.shape[0]):
-            np.matmul(x[index], weight_t, out=out[index])
-    else:
-        out = x @ weight_t
-    if layer.bias is not None:
-        out += layer.bias.data
+    batch, channels, length = x.shape
+    span = (kernel - 1) * dilation + 1
+    out_t = (length - span) // stride + 1
+    if out is None:
+        out = np.empty((batch, out_t, channels * kernel), dtype=x.dtype)
+    # fill tap by tap: each tap is one long strided slice of x, so the copy
+    # runs K large memmoves instead of one gather with a K-element inner
+    # loop (3-4x faster for the K=3 trunk convs); a copy is a copy — the
+    # element values (and the C-contiguous patch layout) are identical to
+    # the old transpose-gather
+    taps = out.reshape(batch, out_t, channels, kernel)
+    end = (out_t - 1) * stride + 1
+    for k in range(kernel):
+        offset = k * dilation
+        taps[:, :, :, k] = x[:, :, offset : offset + end : stride].transpose(0, 2, 1)
     return out
+
+
+def _im2col_2d(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Turn ``(B, C, H, W)`` into ``(B, out_h, out_w, C*kh*kw)`` patches.
+
+    ``out`` optionally receives the patch matrix (see :func:`_im2col_1d`).
+    """
+    kh, kw = kernel
+    sh, sw = stride
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::sh, ::sw]  # (B, C, out_h, out_w, kh, kw)
+    batch, channels, out_h, out_w = windows.shape[:4]
+    if out is not None:
+        np.copyto(
+            out.reshape(batch, out_h, out_w, channels, kh, kw),
+            windows.transpose(0, 2, 3, 1, 4, 5),
+        )
+        return out
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h, out_w, channels * kh * kw)
+    return np.ascontiguousarray(cols)
+
+
+# --------------------------------------------------------------------------- #
+# Convolution forward kernels
+# --------------------------------------------------------------------------- #
+def _pad(x: np.ndarray, widths: tuple[int, ...], tag: str, arena) -> np.ndarray:
+    """Zero-pad the spatial axes of ``(B, C, *spatial)`` by ``widths`` per side."""
+    if not any(widths):
+        return x
+    if arena is None:
+        return np.pad(x, ((0, 0), (0, 0), *((w, w) for w in widths)))
+    spatial = x.shape[2:]
+    padded = arena.scratch(
+        f"{tag}.pad", (*x.shape[:2], *(n + 2 * w for n, w in zip(spatial, widths))), x.dtype
+    )
+    padded[...] = 0
+    padded[(slice(None), slice(None), *(slice(w, w + n) for n, w in zip(spatial, widths)))] = x
+    return padded
+
+
+def _project(cols: np.ndarray, weight: np.ndarray, bias, relu: bool, arena, pool, tag: str):
+    """``cols @ W^T + b`` with the fused ReLU; returns ``(out, mask)``.
+
+    ``out`` is the channels-first view of the channels-last product.  The
+    ReLU is ``out * (out > 0)`` (not ``np.maximum``) so -0.0 keeps its sign
+    bit exactly like the decomposed ``relu`` node; the mask stays in the
+    channels-last layout, which the elementwise product does not notice.
+    """
+    out_channels = weight.shape[0]
+    w_flat = weight.reshape(out_channels, -1)  # (C_out, C_in*taps)
+    if arena is not None and cols.dtype == w_flat.dtype:
+        shape = (*cols.shape[:-1], out_channels)
+        out = np.matmul(cols, w_flat.T, out=arena.buffer(f"{tag}.out", shape, cols.dtype))
+    else:
+        out = cols @ w_flat.T
+    if bias is not None:
+        if bias.dtype == out.dtype:
+            out += bias
+        else:
+            out = out + bias
+    mask = None
+    if relu:
+        if arena is not None:
+            mask = np.greater(out, 0, out=pool(f"{tag}.mask", out.shape, np.bool_))
+        else:
+            mask = out > 0
+        np.multiply(out, mask, out=out)
+    return out.transpose(0, out.ndim - 1, *range(1, out.ndim - 1)), mask
 
 
 def conv1d_forward(
     x: np.ndarray,
     weight: np.ndarray,
-    bias: np.ndarray | None,
+    bias: np.ndarray | None = None,
     *,
     stride: int = 1,
     padding: int = 0,
     dilation: int = 1,
-    workspace: Workspace | None = None,
-    tag: str = "conv1d",
-) -> np.ndarray:
-    """1-D convolution on raw arrays (same im2col arithmetic as autograd).
+    relu: bool = False,
+    requires_grad: bool = False,
+):
+    """1-D convolution of ``(B, C_in, T)`` by ``(C_out, C_in, K)`` on raw arrays.
 
-    The padded input, the contiguous patch matrix and the matmul output all
-    come from ``workspace``, so steady-state calls allocate nothing.  The
-    returned ``(B, C_out, out_t)`` array is a transposed view of a workspace
-    buffer — consume it (or copy) before the same tag runs again.
+    Returns ``(out, cols, mask)``: the ``(B, C_out, T_out)`` output (a
+    transposed view of a ``(B, T_out, C_out)`` array), the
+    ``(B, T_out, C_in*K)`` patch matrix and the ReLU mask (``None`` without
+    ``relu``).  With an active :class:`~repro.nn.arena.StepArena` nothing is
+    allocated in steady state: the output takes a step-lived buffer, the
+    padded input takes scratch, and the patch matrix and mask take step-lived
+    buffers when ``requires_grad`` (a backward pass reads them) or scratch
+    otherwise.
     """
-    out_channels, in_channels, kernel = weight.shape
-    batch, channels, length = x.shape
-    if padding:
-        padded = _buffer(workspace, f"{tag}.pad", (batch, channels, length + 2 * padding), x.dtype)
-        padded[:, :, :padding] = 0.0
-        padded[:, :, length + padding :] = 0.0
-        padded[:, :, padding : length + padding] = x
-    else:
-        padded = x
-    span = (kernel - 1) * dilation + 1
-    out_t = (padded.shape[2] - span) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(padded, span, axis=2)
-    windows = windows[:, :, ::stride, ::dilation]  # (B, C, out_t, K)
-    cols = _buffer(workspace, f"{tag}.cols", (batch, out_t, channels, kernel), x.dtype)
-    np.copyto(cols, windows.transpose(0, 2, 1, 3))
-    out = _buffer(workspace, f"{tag}.out", (batch, out_t, out_channels), x.dtype)
-    np.matmul(cols.reshape(batch, out_t, channels * kernel), weight.reshape(out_channels, -1).T, out=out)
-    if bias is not None:
-        out += bias
-    return out.transpose(0, 2, 1)
+    arena = active_arena()
+    pool = None if arena is None else arena.buffer if requires_grad else arena.scratch
+    x_padded = _pad(x, (padding,), "conv1d", arena)
+    batch, channels, length = x_padded.shape
+    kernel = weight.shape[2]
+    out_t = (length - (kernel - 1) * dilation - 1) // stride + 1
+    out = None if pool is None else pool("conv1d.cols", (batch, out_t, channels * kernel), x.dtype)
+    cols = _im2col_1d(x_padded, kernel, stride, dilation, out=out)  # (B, out_t, C_in*K)
+    out, mask = _project(cols, weight, bias, relu, arena, pool, "conv1d")
+    return out, cols, mask
 
 
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
-    bias: np.ndarray | None,
+    bias: np.ndarray | None = None,
     *,
     stride: int | tuple[int, int] = 1,
     padding: int | tuple[int, int] = 0,
-    workspace: Workspace | None = None,
-    tag: str = "conv2d",
-) -> np.ndarray:
-    """2-D convolution on raw arrays; see :func:`conv1d_forward`."""
+    relu: bool = False,
+    requires_grad: bool = False,
+):
+    """2-D convolution of ``(B, C_in, H, W)`` by ``(C_out, C_in, kh, kw)``.
+
+    Returns ``(out, cols, mask)`` with ``out`` a ``(B, C_out, H_out, W_out)``
+    view of a ``(B, H_out, W_out, C_out)`` array and ``cols`` the
+    ``(B, H_out, W_out, C_in*kh*kw)`` patch matrix; pooling exactly as in
+    :func:`conv1d_forward`.
+    """
     stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
     padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
-    out_channels, in_channels, kh, kw = weight.shape
-    batch, channels, height, width = x.shape
-    ph, pw = padding
-    if ph or pw:
-        padded = _buffer(
-            workspace, f"{tag}.pad", (batch, channels, height + 2 * ph, width + 2 * pw), x.dtype
-        )
-        padded[:] = 0.0
-        padded[:, :, ph : height + ph, pw : width + pw] = x
-    else:
-        padded = x
-    sh, sw = stride
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]  # (B, C, oh, ow, kh, kw)
-    out_h, out_w = windows.shape[2], windows.shape[3]
-    cols = _buffer(workspace, f"{tag}.cols", (batch, out_h, out_w, channels, kh, kw), x.dtype)
-    np.copyto(cols, windows.transpose(0, 2, 3, 1, 4, 5))
-    out = _buffer(workspace, f"{tag}.out", (batch, out_h, out_w, out_channels), x.dtype)
-    np.matmul(
-        cols.reshape(batch, out_h * out_w, channels * kh * kw),
-        weight.reshape(out_channels, -1).T,
-        out=out.reshape(batch, out_h * out_w, out_channels),
-    )
-    if bias is not None:
-        out += bias
-    return out.transpose(0, 3, 1, 2)
+    arena = active_arena()
+    pool = None if arena is None else arena.buffer if requires_grad else arena.scratch
+    x_padded = _pad(x, padding, "conv2d", arena)
+    batch, channels, height, width = x_padded.shape
+    kh, kw = weight.shape[2:]
+    out_h = (height - kh) // stride[0] + 1
+    out_w = (width - kw) // stride[1] + 1
+    out = None if pool is None else pool("conv2d.cols", (batch, out_h, out_w, channels * kh * kw), x.dtype)
+    cols = _im2col_2d(x_padded, (kh, kw), stride, out=out)  # (B, oh, ow, C*kh*kw)
+    out, mask = _project(cols, weight, bias, relu, arena, pool, "conv2d")
+    return out, cols, mask
 
 
-def relu_(x: np.ndarray) -> np.ndarray:
-    """In-place ReLU (safe on workspace-owned activations)."""
-    return np.maximum(x, 0.0, out=x)
-
-
-def fold_conv_bn(conv: L.Conv1d | L.Conv2d, bn: L.BatchNorm1d | L.BatchNorm2d):
+# --------------------------------------------------------------------------- #
+# Load-time BatchNorm folding
+# --------------------------------------------------------------------------- #
+def fold_conv_bn(conv, bn):
     """Fold an eval-mode batch norm into the preceding convolution.
 
     Returns ``(weight, bias)`` arrays such that ``conv(x; weight, bias)``
     equals ``bn(conv(x))`` with the BN in eval mode (running statistics).
-    Recomputed per call — folding is O(parameters), negligible next to the
-    convolution itself, and this way weight updates are always reflected.
     """
     scale = bn.weight.data / (bn.running_var + bn.eps) ** 0.5
     shape = (-1,) + (1,) * (conv.weight.data.ndim - 1)
@@ -239,7 +221,7 @@ def fold_conv_bn(conv: L.Conv1d | L.Conv2d, bn: L.BatchNorm1d | L.BatchNorm2d):
     return weight.astype(dtype, copy=False), bias.astype(dtype, copy=False)
 
 
-def fold_batchnorms(module: L.Module) -> int:
+def fold_batchnorms(module) -> int:
     """Bake Conv→BN folding into ``module`` in place; returns pairs folded.
 
     Walks every :class:`~repro.nn.layers.Sequential` container reachable from
@@ -247,9 +229,8 @@ def fold_batchnorms(module: L.Module) -> int:
     BatchNorm2d`` pair, overwrites the convolution's weights with the folded
     values of :func:`fold_conv_bn` (creating a bias parameter when the
     convolution had none) and replaces the batch norm with
-    :class:`~repro.nn.layers.Identity`.  The folded module computes exactly
-    what the fused inference path computed by folding per call — but the
-    O(parameters) fold now happens once instead of on every ``predict``.
+    :class:`~repro.nn.layers.Identity`.  The folded module computes its eval
+    forward with one kernel per pair instead of two.
 
     Eval-time only: the folded module no longer tracks batch statistics and
     its ``state_dict`` has the folded layout (no BN entries), so it must not
@@ -257,6 +238,9 @@ def fold_batchnorms(module: L.Module) -> int:
     (``load_estimator(path, eval_mode=True)``) and keep the original bundle
     file as the source of truth.
     """
+    # imported here: repro.nn.functional imports this module, and the layer
+    # library imports functional
+    from repro.nn import layers as L
     from repro.nn.module import Parameter
 
     folded = 0
@@ -286,188 +270,31 @@ def fold_batchnorms(module: L.Module) -> int:
     return folded
 
 
-def _batchnorm_eval(x: np.ndarray, bn: L.BatchNorm1d | L.BatchNorm2d) -> np.ndarray:
-    """Eval-mode batch norm on raw arrays (for BN layers with no conv to fold into)."""
-    shape = (1, bn.num_features) + (1,) * (x.ndim - 2)
-    normalised = (x - bn.running_mean.reshape(shape)) / (
-        (bn.running_var.reshape(shape) + bn.eps) ** 0.5
-    )
-    return normalised * bn.weight.data.reshape(shape) + bn.bias.data.reshape(shape)
-
-
-def _max_pool2d(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_size, kernel_size), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return windows.max(axis=(4, 5))
-
-
 # --------------------------------------------------------------------------- #
-# Module interpreter
+# The serving loop
 # --------------------------------------------------------------------------- #
-def module_forward(
-    module: L.Module,
-    x: np.ndarray,
-    *,
-    workspace: Workspace | None = None,
-    tag: str = "",
-    owned: bool = False,
-) -> np.ndarray:
-    """Eval-only fused forward through ``module`` on a raw array.
+def batched_infer(encoder, X: np.ndarray, *, batch_size: int, workspace=None, head=None) -> np.ndarray:
+    """Stream micro-batches of ``X`` through ``encoder`` and the optional ``head``.
 
-    ``owned`` marks ``x`` as an intermediate this interpreter may mutate in
-    place (activations); caller-supplied inputs must pass ``owned=False``.
-    Unknown module types fall back to a ``no_grad`` Tensor forward, so any
-    composition stays correct — just without the fused fast path.
+    The one loop behind every ``encode`` / ``predict_logits`` surface: each
+    micro-batch runs :meth:`~repro.nn.module.Module.infer` on the encoder and
+    then on ``head`` (e.g. a classifier) — ``forward`` under ``no_grad()`` in
+    the parameters' dtype, eval mode for the call, every module's own
+    train/eval flag restored after it — with ``workspace`` (a
+    :class:`~repro.nn.arena.StepArena`, or ``None`` to allocate) advanced
+    once per micro-batch.  Each micro-batch's result is copied into one
+    fresh output array before the arena is reused, so the returned array
+    never aliases the arena.
     """
-    if isinstance(module, L.Sequential):
-        return _sequential_forward(module, x, workspace=workspace, tag=tag, owned=owned)
-    if isinstance(module, L.MLP):
-        return _sequential_forward(module.network, x, workspace=workspace, tag=tag, owned=owned)
-    if isinstance(module, L.Linear):
-        return linear_forward(x, module)
-    if isinstance(module, L.Conv1d):
-        return conv1d_forward(
-            x,
-            module.weight.data,
-            None if module.bias is None else module.bias.data,
-            stride=module.stride,
-            padding=module.padding,
-            dilation=module.dilation,
-            workspace=workspace,
-            tag=tag,
-        )
-    if isinstance(module, L.Conv2d):
-        return conv2d_forward(
-            x,
-            module.weight.data,
-            None if module.bias is None else module.bias.data,
-            stride=module.stride,
-            padding=module.padding,
-            workspace=workspace,
-            tag=tag,
-        )
-    if isinstance(module, (L.BatchNorm1d, L.BatchNorm2d)):
-        return _batchnorm_eval(x, module)
-    if isinstance(module, L.ReLU):
-        return relu_(x) if owned else np.maximum(x, 0.0)
-    if isinstance(module, L.Tanh):
-        return np.tanh(x, out=x) if owned else np.tanh(x)
-    if isinstance(module, L.Sigmoid):
-        return 1.0 / (1.0 + np.exp(-x))
-    if isinstance(module, L.GELU):
-        c = np.sqrt(2.0 / np.pi)
-        return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
-    if isinstance(module, (L.Dropout, L.Identity)):
-        return x  # eval-mode no-ops
-    if isinstance(module, L.Flatten):
-        return x.reshape(x.shape[0], -1)
-    if isinstance(module, L.MaxPool2d):
-        return _max_pool2d(x, module.kernel_size, module.stride)
-    if isinstance(module, L.AdaptiveAvgPool1d):
-        return _avg_pool1d_data(x, module.output_size)
-    if isinstance(module, L.AdaptiveAvgPool2d):
-        return _avg_pool2d_data(x, module.output_size)
-    # unknown module: correctness first, speed second; the default_dtype
-    # scope keeps the activation in the model's dtype (no float64 upcast)
-    was_training = module.training
-    module.eval()
-    try:
-        with no_grad(), default_dtype(x.dtype):
-            return module(Tensor(np.ascontiguousarray(x))).data
-    finally:
-        module.train(was_training)
-
-
-def batched_infer(
-    encoder,
-    X: np.ndarray,
-    *,
-    batch_size: int,
-    workspace: Workspace | None = None,
-    fused: bool = True,
-    head=None,
-) -> np.ndarray:
-    """Stream micro-batches of ``X`` through the fused no-grad path.
-
-    The one serving loop behind every ``encode`` / ``predict_logits``
-    surface: ``encoder`` (and the optional ``head``, e.g. a classifier) runs
-    fused via its ``infer`` method when available and ``fused`` is set;
-    otherwise each micro-batch takes the plain eval-mode autograd forward
-    under ``no_grad`` in the input's dtype.  Always returns a fresh array.
-    """
-    outputs = []
-    if fused and hasattr(encoder, "infer"):
-        for start in range(0, X.shape[0], batch_size):
-            out = encoder.infer(X[start : start + batch_size], workspace=workspace)
-            if head is not None:
-                out = head.infer(out, workspace=workspace)
-            outputs.append(out)
-        return np.concatenate(outputs, axis=0)
-    modules = [encoder] if head is None else [encoder, head]
-    for module in modules:
-        module.eval()
-    try:
-        with no_grad(), default_dtype(X.dtype):
-            for start in range(0, X.shape[0], batch_size):
-                out = encoder(X[start : start + batch_size])
-                if head is not None:
-                    out = head(out)
-                outputs.append(out.data)
-    finally:
-        for module in modules:
-            module.train()
-    return np.concatenate(outputs, axis=0)
-
-
-def _sequential_forward(
-    seq: L.Sequential,
-    x: np.ndarray,
-    *,
-    workspace: Workspace | None,
-    tag: str,
-    owned: bool,
-) -> np.ndarray:
-    """Run a :class:`Sequential` fused, folding Conv→BatchNorm pairs."""
-    children = list(seq)
-    index = 0
-    while index < len(children):
-        layer = children[index]
-        successor = children[index + 1] if index + 1 < len(children) else None
-        layer_tag = f"{tag}.{index}" if tag else str(index)
-        if isinstance(layer, L.Conv1d) and isinstance(successor, L.BatchNorm1d):
-            weight, bias = fold_conv_bn(layer, successor)
-            x = conv1d_forward(
-                x,
-                weight,
-                bias,
-                stride=layer.stride,
-                padding=layer.padding,
-                dilation=layer.dilation,
-                workspace=workspace,
-                tag=layer_tag,
-            )
-            index += 2
-            owned = True
-            continue
-        if isinstance(layer, L.Conv2d) and isinstance(successor, L.BatchNorm2d):
-            weight, bias = fold_conv_bn(layer, successor)
-            x = conv2d_forward(
-                x,
-                weight,
-                bias,
-                stride=layer.stride,
-                padding=layer.padding,
-                workspace=workspace,
-                tag=layer_tag,
-            )
-            index += 2
-            owned = True
-            continue
-        out = module_forward(layer, x, workspace=workspace, tag=layer_tag, owned=owned)
-        if not owned:
-            # pass-through layers (Dropout, Identity) and views (Flatten)
-            # still alias the caller's input; only a fresh array is ours
-            owned = not np.may_share_memory(out, x)
-        x = out
-        index += 1
-    return x
+    result = None
+    # an empty X still runs one (empty) micro-batch, for the output shape
+    for start in range(0, max(X.shape[0], 1), batch_size):
+        if workspace is not None:
+            workspace.advance()
+        out = encoder.infer(X[start : start + batch_size], workspace=workspace)
+        if head is not None:
+            out = head.infer(out, workspace=workspace)
+        if result is None:
+            result = np.empty((X.shape[0], *out.shape[1:]), dtype=out.dtype)
+        result[start : start + out.shape[0]] = out
+    return result

@@ -16,12 +16,22 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, get_default_dtype
+from repro.nn.tensor import Tensor, get_default_dtype, is_grad_enabled
 from repro.utils.seeding import new_rng
 
 
 class Linear(Module):
-    """Affine layer ``y = x W^T + b`` over the last dimension."""
+    """Affine layer ``y = x W^T + b`` over the last dimension.
+
+    Under ``no_grad()`` a 2-D input is computed row by row (gemv): a
+    full-batch gemm picks its kernel — and therefore its accumulation order —
+    from the row count, so a sample's output would depend on how many
+    neighbours shared its batch.  Row-wise compute makes every sample's
+    result independent of batch composition, which the serving micro-batcher
+    (:mod:`repro.serving`) relies on for responses bit-identical to a direct
+    call under any coalescing; it differs from the gemm by <= 1 ulp.
+    Recorded (training) forwards keep the full-batch gemm.
+    """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True, rng=None):
         super().__init__()
@@ -32,6 +42,14 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim == 2 and not is_grad_enabled():
+            weight_t = self.weight.data.T
+            rows = np.empty((x.shape[0], weight_t.shape[1]), dtype=np.result_type(x.data, weight_t))
+            for index in range(x.shape[0]):
+                np.matmul(x.data[index], weight_t, out=rows[index])
+            if self.bias is not None:
+                rows += self.bias.data
+            return Tensor(rows)
         out = x @ self.weight.transpose()
         if self.bias is not None:
             out = out + self.bias

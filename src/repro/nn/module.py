@@ -13,7 +13,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.arena import use_arena
+from repro.nn.tensor import Tensor, default_dtype, get_default_dtype, no_grad
 
 
 class Parameter(Tensor):
@@ -141,6 +142,28 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+    def infer(self, x, *, workspace=None) -> np.ndarray:
+        """Eval-mode forward of a raw array, recording no autograd graph.
+
+        The one inference path: :meth:`forward` runs under ``no_grad()`` in
+        the module's parameter dtype, with ``workspace`` (a
+        :class:`~repro.nn.arena.StepArena`, or ``None`` to allocate) as the
+        calling thread's arena.  Dropout and batch norm see eval mode for the
+        call; every module's own train/eval flag is restored afterwards.
+        The result may be a view of a ``workspace`` buffer, valid until the
+        workspace advances (:func:`repro.nn.inference.batched_infer` copies
+        it out first).
+        """
+        dtype = next((p.data.dtype for p in self.parameters()), get_default_dtype())
+        modes = [(module, module.training) for module in self.modules()]
+        self.eval()
+        try:
+            with no_grad(), default_dtype(dtype), use_arena(workspace):
+                return self(Tensor(x)).data
+        finally:
+            for module, mode in modes:
+                module.training = mode
 
     def __repr__(self) -> str:
         child_repr = ", ".join(self._modules)

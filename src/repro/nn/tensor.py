@@ -14,55 +14,65 @@ fast enough for the laptop-scale experiments in this reproduction.
 from __future__ import annotations
 
 import contextlib
+import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.nn.arena import _normalized_strides, active_arena, result_template
 
-_GRAD_ENABLED = True
-
 #: dtypes the compute core supports (see ``repro.engine.DtypePolicy``)
 SUPPORTED_COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_DEFAULT_DTYPE = np.dtype(np.float64)
+
+class _Scopes(threading.local):
+    """Per-thread autograd scopes: a serving worker inside ``no_grad()`` or
+    ``default_dtype(float32)`` never changes what another thread sees."""
+
+    grad_enabled = True
+    dtype = np.dtype(np.float64)
+
+
+_SCOPES = _Scopes()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph construction (like ``torch.no_grad``).
+
+    The scope is per thread, like :func:`default_dtype` and
+    :func:`repro.nn.arena.use_arena`.
+    """
+    previous = _SCOPES.grad_enabled
+    _SCOPES.grad_enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _SCOPES.grad_enabled = previous
 
 
 def is_grad_enabled() -> bool:
     """Return whether new operations will be recorded for autograd."""
-    return _GRAD_ENABLED
+    return _SCOPES.grad_enabled
 
 
 def get_default_dtype() -> np.dtype:
     """The dtype new tensors are created with (float64 unless configured)."""
-    return _DEFAULT_DTYPE
+    return _SCOPES.dtype
 
 
 def set_default_dtype(dtype) -> np.dtype:
-    """Set the tensor-creation dtype; returns the previous default.
+    """Set the calling thread's tensor-creation dtype; returns the previous one.
 
     Only float32 and float64 are supported.  Prefer the scoped
     :func:`default_dtype` context manager (which estimators and the training
     engine use to apply their ``DtypePolicy``) over calling this directly.
     """
-    global _DEFAULT_DTYPE
     dtype = np.dtype(dtype)
     if dtype not in SUPPORTED_COMPUTE_DTYPES:
         raise ValueError(f"compute dtype must be float32 or float64, got {dtype}")
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dtype
+    previous = _SCOPES.dtype
+    _SCOPES.dtype = dtype
     return previous
 
 
@@ -72,7 +82,8 @@ def default_dtype(dtype):
 
     This is how a ``DtypePolicy`` reaches the compute core: parameters
     initialised, inputs wrapped and gradients accumulated inside the scope
-    all use ``dtype``, while arrays that already exist keep theirs.
+    all use ``dtype``, while arrays that already exist keep theirs.  Like
+    :func:`no_grad`, the scope covers the calling thread only.
     """
     previous = set_default_dtype(dtype)
     try:
@@ -98,7 +109,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _as_array(value) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("expected a raw value, got a Tensor")
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
+    return np.asarray(value, dtype=_SCOPES.dtype)
 
 
 class Tensor:
@@ -130,8 +141,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        scopes = _SCOPES
+        self.data = np.asarray(data, dtype=scopes.dtype)
+        self.requires_grad = bool(requires_grad) and scopes.grad_enabled
         self.grad: np.ndarray | None = None
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
@@ -189,7 +201,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward,
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _SCOPES.grad_enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -702,11 +714,11 @@ class Tensor:
     # ----------------------------------------------------------- constructors
     @staticmethod
     def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
+        return Tensor(np.zeros(shape, dtype=_SCOPES.dtype), requires_grad=requires_grad)
 
     @staticmethod
     def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
+        return Tensor(np.ones(shape, dtype=_SCOPES.dtype), requires_grad=requires_grad)
 
     @staticmethod
     def concat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":

@@ -1,4 +1,4 @@
-"""``repro.serving`` — async front door over the fused inference path.
+"""``repro.serving`` — async front door over the estimators' inference path.
 
 A long-lived :class:`ModelServer` coalesces concurrent single-sample
 ``predict`` / ``predict_proba`` / ``encode`` requests into fused micro-batches

@@ -4,14 +4,15 @@
 :class:`repro.serving.batcher.MicroBatcher`.  Callers submit single samples
 (``submit`` returns a :class:`concurrent.futures.Future`; ``predict`` /
 ``predict_proba`` / ``encode`` block for convenience); worker threads pull
-sealed micro-batches and run **one fused call** per batch over the PR 4
-inference fast path, scattering results back to the per-request futures in
-submission order.
+sealed micro-batches and run **one fused call** per batch through the
+estimator's no-grad forward, scattering results back to the per-request
+futures in submission order.
 
 Thread workers, not processes: the heavy lifting is NumPy/BLAS which release
 the GIL, and each worker holds its own deep-copied estimator replica — so
-per-replica ``Workspace`` arenas stay warm and single-threaded while the
-workers overlap compute.  ``reload(path)`` loads a fresh bundle (Conv→BN
+per-replica ``StepArena`` buffer pools stay warm and single-threaded while
+the workers overlap compute (``no_grad``, the dtype scope and the active
+arena are per thread, so workers never see each other's scopes).  ``reload(path)`` loads a fresh bundle (Conv→BN
 folded once at load), builds new replicas, and swaps them in atomically;
 batches already in flight keep references to the old replicas, so nothing is
 dropped or reordered.
@@ -66,7 +67,7 @@ class ModelServer:
         Training-time worker pools are shut down before replication.
     max_batch:
         Size flush trigger — a group flushes as soon as it holds this many
-        requests.  Defaults to the fused path's sweet spot
+        requests.  Defaults to the serving micro-batch size
         (:data:`repro.nn.inference.DEFAULT_SERVING_BATCH_SIZE`).
     max_wait_ms:
         Deadline flush trigger — a request never waits longer than this for
@@ -293,10 +294,10 @@ class ModelServer:
     def stats(self) -> dict:
         """Snapshot of serving counters plus derived batching figures.
 
-        Includes a ``workspace`` section — fused-path buffer-arena counters
-        (``hits`` / ``misses`` / ``nbytes`` / ``peak_bytes`` / ``buffers``)
-        summed across the worker replicas' :class:`~repro.nn.inference.
-        Workspace` arenas — so operators can verify steady-state serving
+        Includes a ``workspace`` section — inference buffer-arena counters
+        (``hits`` / ``misses`` / ``nbytes`` / ``peak_bytes`` / ``buffers`` /
+        ``generation``) summed across the worker replicas'
+        :class:`~repro.nn.arena.StepArena` pools — so operators can verify steady-state serving
         reuses its buffers instead of allocating per batch.
         """
         snapshot = self._stats.snapshot()

@@ -11,6 +11,7 @@ unchanged; the bit-identity side is pinned in ``tests/test_precision.py``).
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.nn.arena import (
     result_template,
     use_arena,
 )
-from repro.nn.tensor import Tensor, default_dtype
+from repro.nn.tensor import Tensor, default_dtype, get_default_dtype, is_grad_enabled, no_grad
 
 
 # --------------------------------------------------------------------------- #
@@ -108,6 +109,47 @@ class TestStepArenaPooling:
             with use_arena(arena):
                 raise RuntimeError("boom")
         assert active_arena() is None
+
+
+# --------------------------------------------------------------------------- #
+# scopes are per thread
+# --------------------------------------------------------------------------- #
+def _scopes() -> tuple:
+    return is_grad_enabled(), get_default_dtype(), active_arena()
+
+
+class TestScopesArePerThread:
+    """``no_grad`` / ``default_dtype`` / ``use_arena`` cover the calling
+    thread only: serving workers run inside them concurrently."""
+
+    def test_a_thread_inside_the_scopes_leaves_the_main_thread_alone(self):
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            arena = StepArena()
+            with no_grad(), default_dtype(np.float32), use_arena(arena):
+                seen["worker"] = _scopes() == (False, np.dtype(np.float32), arena)
+                inside.set()
+                release.wait(timeout=30)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert inside.wait(timeout=30)
+            assert _scopes() == (True, np.dtype(np.float64), None)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert seen["worker"]
+
+    def test_a_new_thread_starts_from_the_defaults(self):
+        seen = {}
+        with no_grad(), default_dtype(np.float32), use_arena(StepArena()):
+            thread = threading.Thread(target=lambda: seen.update(scopes=_scopes()))
+            thread.start()
+            thread.join(timeout=30)
+        assert seen["scopes"] == (True, np.dtype(np.float64), None)
 
 
 # --------------------------------------------------------------------------- #

@@ -6,10 +6,10 @@ fused no-grad inference path.  These tests pin the contract:
 * the float64 path stays the bit-exact reference (vectorized col2im and the
   pooling rewrite are bit-identical to their loop predecessors),
 * float32 training tracks the float64 loss curves within tolerance,
-* fused inference (BN folding, workspace arena, raw-array kernels) is
-  equivalent to the unfused eval-mode autograd forward — exactly, except the
-  batch-invariant linear kernels whose summation order differs by <= 1 ulp —
-  and bitwise independent of batch composition,
+* inference (``Module.forward`` under ``no_grad()`` in a ``StepArena``,
+  BN folded at load) is equivalent to the grad-enabled eval-mode forward —
+  exactly, except the batch-invariant row-wise linear whose summation order
+  differs by <= 1 ulp — and bitwise independent of batch composition,
 * checkpoints round-trip ``compute_dtype`` without silent upcasts.
 """
 
@@ -24,10 +24,11 @@ from repro.core.config import AimTSConfig, FineTuneConfig
 from repro.core.finetuner import FineTuner
 from repro.core.pretrainer import AimTSPretrainer
 from repro.data.archives import make_dataset
+from repro.data.loaders import z_normalize
 from repro.encoders import ImageEncoder, TSEncoder
-from repro.nn import Workspace
 from repro.nn import functional as F
 from repro.nn.arena import StepArena, use_arena
+from repro.nn.inference import fold_batchnorms
 from repro.nn.layers import BatchNorm1d, Conv1d
 from repro.nn.tensor import Tensor, default_dtype, get_default_dtype, no_grad
 
@@ -212,22 +213,50 @@ class TestTrainingDtypeParity:
 
 
 # --------------------------------------------------------------------------- #
-# fused no-grad inference
+# no-grad inference
 # --------------------------------------------------------------------------- #
+def _eval_forward(*modules, X: np.ndarray) -> np.ndarray:
+    """The grad-enabled eval-mode forward through ``modules`` (the reference)."""
+    for module in modules:
+        module.eval()
+    try:
+        out = Tensor(X)
+        for module in modules:
+            out = module(out)
+        return out.data
+    finally:
+        for module in modules:
+            module.train()
+
+
+def _fitted_finetuner() -> tuple[FineTuner, np.ndarray]:
+    dataset = make_dataset(
+        "fused", "motion", n_classes=3, n_train=24, n_test=12, length=48, n_variables=2, seed=1
+    )
+    finetuner = FineTuner(
+        TSEncoder(hidden_channels=8, repr_dim=16, depth=2, rng=3),
+        dataset.n_classes,
+        FineTuneConfig(epochs=2, batch_size=8, seed=3407),
+    )
+    finetuner.fit(dataset.train)
+    return finetuner, dataset.test.X
+
+
 class TestFusedInference:
-    # Since the serving PR, the fused path computes 2-D linear layers row by
-    # row so a sample's result is independent of its batch (required for
-    # micro-batched serving to be bit-identical to direct predict).  The
-    # autograd forward keeps the full-batch gemm, whose kernel choice depends
-    # on the row count, so fused-vs-unfused equivalence is exact arithmetic
-    # up to the linear layers' summation order (<= 1 ulp); batch-INVARIANCE
-    # of the fused path itself is asserted bitwise.
+    # Inference runs ``Module.forward`` under ``no_grad()``, where ``Linear``
+    # computes 2-D inputs row by row so a sample's result is independent of
+    # its batch (required for micro-batched serving to be bit-identical to
+    # direct predict).  The recorded forward keeps the full-batch gemm, whose
+    # kernel choice depends on the row count, so no-grad-vs-recorded
+    # equivalence is exact arithmetic up to the linear layers' summation
+    # order (<= 1 ulp); batch-INVARIANCE of the no-grad path itself is
+    # asserted bitwise.
     def test_encode_fused_matches_unfused(self, pool):
         pretrainer = AimTSPretrainer(small_config())
         pretrainer.fit(pool)
         X = np.random.default_rng(8).normal(size=(20, 2, 64))
         np.testing.assert_allclose(
-            pretrainer.encode(X), pretrainer.encode(X, fused=False),
+            pretrainer.encode(X), _eval_forward(pretrainer.ts_encoder, X=X),
             rtol=1e-12, atol=1e-14,
         )
 
@@ -241,21 +270,13 @@ class TestFusedInference:
             np.testing.assert_array_equal(sub, full[start:stop])
 
     def test_predict_logits_fused_matches_unfused(self):
-        dataset = make_dataset(
-            "fused", "motion", n_classes=3, n_train=24, n_test=12, length=48, n_variables=2, seed=1
-        )
-        finetuner = FineTuner(
-            TSEncoder(hidden_channels=8, repr_dim=16, depth=2, rng=3),
-            dataset.n_classes,
-            FineTuneConfig(epochs=2, batch_size=8, seed=3407),
-        )
-        finetuner.fit(dataset.train)
-        fused = finetuner.predict_logits(dataset.test.X)
-        unfused = finetuner.predict_logits(dataset.test.X, fused=False)
+        finetuner, X = _fitted_finetuner()
+        fused = finetuner.predict_logits(X)
+        unfused = _eval_forward(finetuner.encoder, finetuner.classifier, X=z_normalize(X))
         np.testing.assert_allclose(fused, unfused, rtol=1e-12, atol=1e-14)
         # the serving guarantee: per-sample logits independent of batching
         for start, stop in ((0, 1), (2, 5), (5, 12)):
-            sub = finetuner.predict_logits(dataset.test.X[start:stop])
+            sub = finetuner.predict_logits(X[start:stop])
             np.testing.assert_array_equal(sub, fused[start:stop])
 
     def test_bn_folding_matches_unfused_eval_forward(self):
@@ -267,9 +288,38 @@ class TestFusedInference:
         encoder.eval()
         with no_grad():
             reference = encoder(Tensor(images)).data
+        assert fold_batchnorms(encoder) == 2
         encoder.train(True)
         fused = encoder.infer(images)
         np.testing.assert_allclose(fused, reference, rtol=1e-10, atol=1e-12)
+        assert all(module.training for module in encoder.modules())
+
+    @pytest.mark.parametrize("start_training", [False, True])
+    def test_inference_restores_every_train_eval_flag(self, start_training):
+        finetuner, X = _fitted_finetuner()
+        modules = [*finetuner.encoder.modules(), *finetuner.classifier.modules()]
+        for module in modules:
+            module.training = start_training
+        finetuner.predict_logits(X)
+        finetuner.predict_proba(X[:3], batch_size=2)
+        assert [module.training for module in modules] == [start_training] * len(modules)
+
+    def test_predict_logits_result_does_not_alias_the_arena(self):
+        finetuner, X = _fitted_finetuner()
+        first = finetuner.predict_logits(X)
+        held = first.copy()
+        finetuner.predict_logits(X[::-1].copy())  # same shape, different rows
+        np.testing.assert_array_equal(first, held)
+
+    def test_encode_result_does_not_alias_the_arena(self, pool):
+        # "mean" aggregation: the last op is a reduction, not a Linear
+        pretrainer = AimTSPretrainer(small_config(encode_batch_size=8))
+        assert pretrainer.ts_encoder.channel_aggregation == "mean"
+        X = np.random.default_rng(12).normal(size=(20, 2, 64))
+        first = pretrainer.encode(X)
+        held = first.copy()
+        pretrainer.encode(np.random.default_rng(13).normal(size=X.shape))
+        np.testing.assert_array_equal(first, held)
 
     def test_workspace_reuses_buffers_across_calls(self, pool):
         pretrainer = AimTSPretrainer(small_config())
@@ -295,13 +345,6 @@ class TestFusedInference:
         pretrainer = AimTSPretrainer(small_config(encode_batch_size=4))
         X = np.random.default_rng(11).normal(size=(10, 2, 64))
         assert np.array_equal(pretrainer.encode(X), pretrainer.encode(X, batch_size=10))
-
-    def test_workspace_clear_and_nbytes(self):
-        workspace = Workspace()
-        buffer = workspace.buffer("tag", (4, 4), np.float32)
-        assert workspace.nbytes() == buffer.nbytes
-        workspace.clear()
-        assert workspace.nbytes() == 0
 
 
 # --------------------------------------------------------------------------- #

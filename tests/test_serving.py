@@ -17,6 +17,8 @@ import pytest
 
 from repro.api import load_estimator, make_estimator, serve
 from repro.core.config import AimTSConfig, FineTuneConfig
+from repro.nn.arena import active_arena
+from repro.nn.tensor import get_default_dtype, is_grad_enabled
 from repro.serving import (
     MicroBatcher,
     ModelServer,
@@ -238,6 +240,38 @@ class TestModelServer:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
+        got = np.stack([results[i] for i in range(len(test_X))])
+        assert np.array_equal(got, direct["predict_proba"])
+
+    def test_worker_scopes_never_reach_the_caller_thread(self, bundle_path, test_X, direct):
+        # each worker runs forward under no_grad, the model dtype and its
+        # replica's arena; those scopes are per thread, so the main thread
+        # reads the defaults while the workers answer and after they stop
+        observed = set()
+        with ModelServer.from_bundle(
+            bundle_path, max_batch=4, max_wait_ms=1.0, n_workers=2
+        ) as server:
+            results: dict[int, np.ndarray] = {}
+            lock = threading.Lock()
+
+            def submitter(offset: int) -> None:
+                for _ in range(3):
+                    for index in range(offset, len(test_X), 2):
+                        value = server.submit(test_X[index], op="predict_proba").result(timeout=60)
+                        with lock:
+                            results[index] = value
+
+            threads = [threading.Thread(target=submitter, args=(o,)) for o in range(2)]
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                observed.add((is_grad_enabled(), get_default_dtype(), active_arena()))
+                threads[0].join(timeout=0.001)
+            for thread in threads:
+                thread.join(timeout=60)
+            assert server.stats()["responses"] == 3 * len(test_X)
+        observed.add((is_grad_enabled(), get_default_dtype(), active_arena()))
+        assert observed == {(True, np.dtype(np.float64), None)}
         got = np.stack([results[i] for i in range(len(test_X))])
         assert np.array_equal(got, direct["predict_proba"])
 
