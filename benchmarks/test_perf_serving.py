@@ -109,7 +109,7 @@ class TestServingThroughput:
         with ModelServer.from_bundle(
             bundle_path, max_batch=64, max_wait_ms=5.0, n_workers=min(4, max(2, cores))
         ) as server:
-            # warmup: populate workspaces + slabs before the measured window
+            # warmup: populate the replicas' workspaces before the measured window
             run_open_loop(
                 server, request_samples, rate_rps=50.0, duration_s=0.5, op="predict"
             )

@@ -584,8 +584,8 @@ class _PretrainLoop(TrainLoop):
     its cached renders (``None`` when the cache is off, in which case
     :meth:`AimTSPretrainer.compute_batch_loss` rasterises on the fly).
     Under sharded training the pair is split along the batch axis, so cached
-    images travel to the workers through the pool's shared-memory input
-    arena instead of being re-rendered (or pickled) per shard.
+    images travel to the workers through the pool's shared-memory ring
+    instead of being re-rendered (or pickled) per shard.
     """
 
     #: contrastive prototype construction needs at least a pair per shard

@@ -7,10 +7,12 @@ builds one replica of the training loop's modules (via the loop's picklable
 
 1. the parent packs the current parameters into a shared-memory buffer
    (one contiguous block per dtype — see :class:`repro.nn.flat.FlatLayout`);
-2. each worker receives its batch shard through a shared-memory input arena
-   (arrays are written once and read as views — cached render-cache images
-   are never pickled per batch), refreshes its replica's parameters from the
-   shared buffer, computes ``batch_loss`` and backpropagates;
+2. the parent writes worker ``w``'s shard into slot ``w`` of a
+   :class:`RingArena` (the same shared-memory ring the pipelined producers
+   publish into, so cached render-cache images are never pickled per
+   batch); each worker copies its shard out of the slot, refreshes its
+   replica's parameters from the shared buffer, computes ``batch_loss`` and
+   backpropagates;
 3. each worker packs its gradients into its own shared segment, and the
    parent reduces them in **fixed ascending worker order** with per-shard
    weights ``n_w / n_total`` before stepping the optimizer as usual.
@@ -195,84 +197,10 @@ class _SharedBlock:
             pass
 
 
-class InputArena:
-    """A byte arena batch arrays are written into (writer side).
-
-    Arrays travel as ``(offset, dtype, shape)`` descriptors in the step
-    message; the worker maps them back as views on its attached segment.  A
-    batch larger than the arena (only possible if later batches exceed the
-    first, which sizing with ``growth`` head-room avoids) falls back to
-    pickling those arrays through the queue — correct, just slower.
-
-    The arena is transport-agnostic: the gradient workers attach to it across
-    a process boundary by segment ``name``, while same-process readers (e.g.
-    the serving micro-batcher, :mod:`repro.serving`) map descriptors straight
-    back through :meth:`view` — zero-copy either way.
-    """
-
-    def __init__(self, growth: float = 1.5):
-        self.growth = growth
-        self._shm: SharedMemory | None = None
-        self.name: str | None = None
-        self.capacity = 0
-        self._cursor = 0
-
-    def reset(self) -> None:
-        self._cursor = 0
-
-    def ensure(self, nbytes: int) -> None:
-        if nbytes <= self.capacity:
-            return
-        if self._shm is not None:
-            self._shm.close()
-            self._shm.unlink()
-        self.capacity = int(nbytes * self.growth) + 64
-        self._shm = SharedMemory(create=True, size=self.capacity)
-        self.name = self._shm.name
-
-    def write(self, array: np.ndarray):
-        """Write one array; returns its descriptor or None if it cannot fit."""
-        array = np.ascontiguousarray(array)
-        offset = self._cursor
-        if self._shm is None or offset + array.nbytes > self.capacity:
-            return None
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=self._shm.buf, offset=offset)
-        view[...] = array
-        self._cursor = offset + array.nbytes
-        return (offset, array.dtype.name, tuple(array.shape))
-
-    def view(self, descriptor) -> np.ndarray:
-        """Map a :meth:`write` descriptor back to an array view (same process).
-
-        The returned array aliases the arena segment: it stays valid until the
-        arena is :meth:`reset` (and rewritten) or closed.  Descriptors from
-        consecutive ``write`` calls are laid out back to back, so a descriptor
-        whose shape is extended by a leading batch axis views all of them at
-        once — the serving path's zero-copy batch assembly.
-        """
-        if self._shm is None:
-            raise ValueError("arena holds no segment; write() something first")
-        offset, dtype, shape = descriptor
-        return np.ndarray(shape, dtype=dtype, buffer=self._shm.buf, offset=offset)
-
-    def close(self) -> None:
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - teardown race
-                pass
-            self._shm = None
-
-
-#: backwards-compatible private alias (the arena predates its public name)
-_InputArena = InputArena
-
-
 class _SlotWriter:
-    """Writer over one ring slot; duck-types ``InputArena.write`` for
-    :func:`_encode_batch`.  Arrays that do not fit the remaining slot space
-    get ``None`` back (→ pickle fallback through the result queue)."""
+    """Bounded writer over one ring slot, used by :func:`_encode_batch`.
+    Arrays that do not fit the remaining slot space get ``None`` back (→ they
+    travel pickled through the message queue instead)."""
 
     def __init__(self, buf, start: int, limit: int):
         self._buf = buf
@@ -292,21 +220,26 @@ class _SlotWriter:
 
 
 class RingArena:
-    """A bounded multi-slot shared-memory ring for produced batches.
+    """A bounded multi-slot shared-memory ring: the one batch transport
+    between a parent and its child processes.
 
-    The multi-slot generalisation of :class:`InputArena`: one segment of
-    ``depth`` equal slots, where step ``s`` of an epoch always lands in slot
-    ``s % depth`` (:meth:`slot_of`).  The parent owns the free/ready
+    One segment of ``depth`` equal slots.  The :class:`ProducerPool` ring
+    has ``prefetch_depth`` slots and step ``s`` of an epoch always lands in
+    slot ``s % depth`` (:meth:`slot_of`); the parent owns the free/ready
     handshake — :meth:`acquire` marks a step's slot busy before the produce
     message is sent, :meth:`release` frees it once the consumer finishes the
     step — so a slot is only ever rewritten after its previous occupant was
-    fully consumed.  Producers attach by ``name`` and write through
-    :meth:`writer`; descriptors are absolute ``(offset, dtype, shape)``
-    triples the consumer maps back as zero-copy views via :meth:`view`.
+    fully consumed.  The :class:`GradientWorkerPool` ring has one slot per
+    worker, rewritten by the parent every step.  Whoever writes a slot does
+    so through :meth:`writer`; descriptors are absolute ``(offset, dtype,
+    shape)`` triples the reader maps back as zero-copy views via
+    :meth:`view`.  A child process maps the ring by :attr:`spec`
+    (:func:`_attach_ring`); the parent sizes and regrows it with
+    :func:`_fit_ring`.
 
     A batch larger than ``slot_nbytes`` does not deadlock the ring: the
     writer rejects the overflowing arrays and they travel pickled through the
-    result queue instead (correct, just slower — counted per stream).
+    message queue instead (correct, just slower — counted per stream).
     """
 
     #: slot sizes are rounded up to this multiple so every slot start is
@@ -367,7 +300,7 @@ class RingArena:
 
     # --------------------------------------------------------------- data I/O
     def writer(self, slot: int) -> _SlotWriter:
-        """A fresh bounded writer over one slot (producer side)."""
+        """A fresh bounded writer over one slot."""
         if not 0 <= int(slot) < self.depth:
             raise ValueError(f"slot {slot} out of range for depth {self.depth}")
         start = int(slot) * self.slot_nbytes
@@ -392,15 +325,44 @@ class RingArena:
             pass
 
 
-def _encode_batch(batch, arena: InputArena | None):
-    """Replace ndarrays in a (possibly nested) batch with arena descriptors."""
+def _fit_ring(ring: RingArena | None, depth: int, slot_nbytes: int) -> RingArena:
+    """``ring`` while each slot holds ``slot_nbytes``, else a bigger one.
+
+    The outgrown ring is unlinked; children still mapping it close their
+    mapping when the next message names the new ring (:func:`_attach_ring`).
+    The 1.25x head-room keeps a batch slightly larger than the last from
+    regrowing the ring again.
+    """
+    needed = max(int(slot_nbytes), 1)
+    if ring is not None and needed <= ring.slot_nbytes:
+        return ring
+    if ring is not None:
+        ring.close(unlink=True)
+    return RingArena(depth, int(needed * 1.25) + 64)
+
+
+def _attach_ring(ring: RingArena | None, spec) -> RingArena:
+    """A child's mapping of the ring ``spec`` names (see :attr:`RingArena.spec`).
+
+    A new name means the parent regrew the ring: the mapping it replaces is
+    closed so the parent's unlink actually frees the old segment's memory.
+    """
+    if ring is not None and ring.name == spec[0]:
+        return ring
+    if ring is not None:
+        ring.close(unlink=False)
+    return RingArena.attach(*spec)
+
+
+def _encode_batch(batch, writer: _SlotWriter | None):
+    """Replace ndarrays in a (possibly nested) batch with ring-slot descriptors."""
     if isinstance(batch, np.ndarray):
-        descriptor = arena.write(batch) if arena is not None else None
+        descriptor = writer.write(batch) if writer is not None else None
         if descriptor is None:
             return ("pickle", batch)
         return ("shm", descriptor)
     if isinstance(batch, (tuple, list)):
-        return ("seq", type(batch).__name__, [_encode_batch(item, arena) for item in batch])
+        return ("seq", type(batch).__name__, [_encode_batch(item, writer) for item in batch])
     return ("raw", batch)
 
 
@@ -408,8 +370,8 @@ def _decode_batch(encoded, shm_buf, *, copy: bool = True):
     """Rebuild a batch from :func:`_encode_batch` output.
 
     With ``copy=True`` (the gradient-worker default) shared-memory arrays are
-    **copied** out of the arena so the parent can start writing the next step
-    while the worker still computes.  ``copy=False`` returns views — the ring
+    **copied** out of the ring slot, because the parent rewrites the slot on
+    the next step.  ``copy=False`` returns views — the producer-ring
     consumer's zero-copy path, safe because a ring slot is only released
     (and thus rewritten) after the consumer finishes the step.
     """
@@ -490,8 +452,7 @@ def _worker_main(
     from repro.nn.arena import StepArena, set_active_arena
     from repro.nn.tensor import Tensor, set_default_dtype
 
-    arenas: dict[str, SharedMemory] = {}
-    param_block = grad_block = None
+    ring = param_block = grad_block = None
     try:
         set_default_dtype(np.dtype(compute_dtype))
         # each replica owns a private training-step buffer pool — arenas are
@@ -516,20 +477,8 @@ def _worker_main(
             if kind == "stop":
                 break
             if kind == "step":
-                _, version, encoded, arena_name, step_key = message
-                shm_buf = None
-                if arena_name is not None:
-                    arena = arenas.get(arena_name)
-                    if arena is None:
-                        # a new name supersedes this worker's one arena —
-                        # close the stale mapping so the parent's unlink can
-                        # actually reclaim the old segment's memory
-                        for stale in arenas.values():
-                            stale.close()
-                        arenas.clear()
-                        arena = SharedMemory(name=arena_name)
-                        arenas[arena_name] = arena
-                    shm_buf = arena.buf
+                _, version, encoded, ring_spec, step_key = message
+                ring = _attach_ring(ring, ring_spec)
                 if version != seen_version:  # params only move on optimizer steps
                     layout.unpack_data(param_block.arrays)
                     seen_version = version
@@ -539,7 +488,7 @@ def _worker_main(
                     reseed = getattr(replica, "reseed_for_step", None)
                     if reseed is not None:
                         reseed(int(step_key[0]), int(step_key[1]))
-                batch = _decode_batch(encoded, shm_buf)
+                batch = _decode_batch(encoded, ring._shm.buf)
                 for param in layout.parameters:
                     param.grad = None
                 losses = replica.batch_loss(batch)
@@ -562,8 +511,8 @@ def _worker_main(
     except Exception:  # pragma: no cover - exercised via WorkerError tests
         result_queue.put((worker_index, "error", traceback.format_exc()))
     finally:
-        for arena in arenas.values():
-            arena.close()
+        if ring is not None:
+            ring.close(unlink=False)
         if param_block is not None:
             param_block.close(unlink=False)
         if grad_block is not None:
@@ -630,7 +579,8 @@ class GradientWorkerPool:
         nbytes = self._layout.nbytes()
         self._param_block = _SharedBlock(nbytes, create=True)
         self._grad_blocks = [_SharedBlock(nbytes, create=True) for _ in range(self.n_workers)]
-        self._arenas = [InputArena() for _ in range(self.n_workers)]
+        #: one slot per worker, sized at each step to the largest shard
+        self._ring: RingArena | None = None
         self._param_version = 0
         self._closed = False
         self._broken = False
@@ -823,13 +773,13 @@ class GradientWorkerPool:
             # inside an accumulation window reuse the last broadcast
             self._layout.pack_data(self._param_block.arrays)
             self._param_version += 1
+        ring = self._ring = _fit_ring(
+            self._ring, self.n_workers, max(_estimate_nbytes(batch) for batch, _ in shards)
+        )
         messages: dict[int, tuple] = {}
         for worker_index, (batch, _) in enumerate(shards):
-            arena = self._arenas[worker_index]
-            arena.ensure(_estimate_nbytes(batch))
-            arena.reset()
-            encoded = _encode_batch(batch, arena)
-            message = ("step", self._param_version, encoded, arena.name, step_key)
+            encoded = _encode_batch(batch, ring.writer(worker_index))
+            message = ("step", self._param_version, encoded, ring.spec, step_key)
             messages[worker_index] = message
             self._command_queues[worker_index].put(message)
         replies = self._collect(
@@ -901,8 +851,9 @@ class GradientWorkerPool:
         self._param_block.close(unlink=True)
         for block in self._grad_blocks:
             block.close(unlink=True)
-        for arena in self._arenas:
-            arena.close()
+        if self._ring is not None:
+            self._ring.close(unlink=True)
+            self._ring = None
 
     def __enter__(self) -> "GradientWorkerPool":
         return self
@@ -932,7 +883,7 @@ def _producer_main(producer_index, factory, compute_dtype, work_queue, result_qu
 
     from repro.nn.tensor import set_default_dtype
 
-    rings: dict[str, RingArena] = {}
+    ring = None
     try:
         set_default_dtype(np.dtype(compute_dtype))
         producer = factory(producer_index)
@@ -945,16 +896,7 @@ def _producer_main(producer_index, factory, compute_dtype, work_queue, result_qu
             fault_point("producer.step")
             start = time_module.perf_counter()
             produced = producer.produce(epoch, step, payload)
-            name, depth, slot_nbytes = ring_spec
-            ring = rings.get(name)
-            if ring is None:
-                # a new name supersedes the ring — close stale mappings so the
-                # parent's unlink can reclaim the old segment
-                for stale in rings.values():
-                    stale.close(unlink=False)
-                rings.clear()
-                ring = RingArena.attach(name, depth, slot_nbytes)
-                rings[name] = ring
+            ring = _attach_ring(ring, ring_spec)
             encoded = _encode_batch(produced, ring.writer(slot))
             seconds = time_module.perf_counter() - start
             result_queue.put(
@@ -967,7 +909,7 @@ def _producer_main(producer_index, factory, compute_dtype, work_queue, result_qu
     except Exception:  # pragma: no cover - exercised via WorkerError tests
         result_queue.put((producer_index, "error", traceback.format_exc()))
     finally:
-        for ring in rings.values():
+        if ring is not None:
             ring.close(unlink=False)
 
 
@@ -1191,14 +1133,6 @@ class ProducerPool:
             )
 
     # ---------------------------------------------------------------- stream
-    def _ensure_ring(self, slot_nbytes: int) -> None:
-        needed = max(int(slot_nbytes), 1)
-        if self._ring is not None and needed <= self._ring.slot_nbytes:
-            return
-        if self._ring is not None:
-            self._ring.close(unlink=True)  # producers drop their stale maps
-        self._ring = RingArena(self.prefetch_depth, int(needed * 1.25) + 64)
-
     def stream(self, epoch: int, payloads, *, slot_nbytes: int = 0):
         """Yield produced batches for ``payloads`` in submission (step) order.
 
@@ -1223,8 +1157,7 @@ class ProducerPool:
         import time as time_module
 
         self._check_usable()
-        self._ensure_ring(slot_nbytes)
-        ring = self._ring
+        ring = self._ring = _fit_ring(self._ring, self.prefetch_depth, slot_nbytes)
         payload_iter = iter(payloads)
         stats = {
             "steps": 0,

@@ -21,7 +21,6 @@ from repro.serving.errors import DeadlineExceededError, ServerOverloadedError
 from repro.serving.loadgen import LoadReport, run_open_loop, serial_baseline
 from repro.serving.server import DEFAULT_MAX_WAIT_MS, ModelServer
 from repro.serving.stats import LatencySummary, ServerStats
-from repro.serving.transport import SampleSlab, SlabPool
 
 __all__ = [
     "DEFAULT_MAX_WAIT_MS",
@@ -32,10 +31,8 @@ __all__ = [
     "MicroBatcher",
     "ModelServer",
     "Request",
-    "SampleSlab",
     "ServerOverloadedError",
     "ServerStats",
-    "SlabPool",
     "run_open_loop",
     "serial_baseline",
 ]

@@ -12,6 +12,11 @@ call.  A group flushes on whichever trigger fires first:
 
 ``close()`` drains every pending group into the ready queue before waking
 the workers, so accepted requests are always answered.
+
+Samples never leave the process (the server's workers are threads):
+``submit`` copies each sample once, on the heap and before taking the lock,
+into the request it enqueues — so a caller may reuse its array at once — and
+:meth:`MicroBatch.materialize` stacks those copies into the fused input.
 """
 
 from __future__ import annotations
@@ -23,19 +28,18 @@ from concurrent.futures import Future
 
 import numpy as np
 
+from repro.serving.errors import ServerOverloadedError
 from repro.serving.stats import ServerStats
-from repro.serving.transport import SlabPool
 
 
 class Request:
-    """One accepted request: its payload handle plus the caller's future."""
+    """One accepted request: its private sample copy plus the caller's future."""
 
-    __slots__ = ("op", "descriptor", "array", "future", "submitted_at", "deadline_at")
+    __slots__ = ("op", "array", "future", "submitted_at", "deadline_at")
 
-    def __init__(self, op: str, descriptor, array, submitted_at: float, deadline_at=None):
+    def __init__(self, op: str, array, submitted_at: float, deadline_at=None):
         self.op = op
-        self.descriptor = descriptor  # slab descriptor (zero-copy path) ...
-        self.array = array  # ... or a private copy (fallback path)
+        self.array = array
         self.future: Future = Future()
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at  # absolute clock time, or None = no deadline
@@ -44,12 +48,11 @@ class Request:
 class MicroBatch:
     """A sealed, homogeneous batch ready for one fused estimator call."""
 
-    __slots__ = ("key", "requests", "slab", "trigger")
+    __slots__ = ("key", "requests", "trigger")
 
-    def __init__(self, key, requests, slab, trigger: str):
+    def __init__(self, key, requests, trigger: str):
         self.key = key
         self.requests = requests
-        self.slab = slab
         self.trigger = trigger  # "size" | "deadline" | "drain"
 
     @property
@@ -57,44 +60,22 @@ class MicroBatch:
         return self.key[0]
 
     def materialize(self, requests=None) -> np.ndarray:
-        """The ``(batch, ...)`` input array — a slab view when possible.
+        """The ``(batch, ...)`` input array: the requests' samples stacked.
 
         ``requests`` restricts the fused input to a subset (the live
-        requests after deadline expiry pruning); the default is the whole
-        batch.  A pruned subset loses the contiguous zero-copy fast path
-        but expired rows never reach the estimator.
+        requests after deadline expiry pruning), so expired rows never reach
+        the estimator; the default is the whole batch.
         """
         if requests is None:
             requests = self.requests
-        if self.slab is not None:
-            descriptors = [request.descriptor for request in requests]
-            if all(descriptor is not None for descriptor in descriptors):
-                batch = self.slab.batch_view(descriptors)
-                if batch is not None:
-                    return batch
-            parts = [
-                self.slab.view(request.descriptor)
-                if request.descriptor is not None
-                else request.array
-                for request in requests
-            ]
-        else:
-            parts = [request.array for request in requests]
-        return np.stack(parts)
-
-    def release(self, pool: SlabPool | None) -> None:
-        """Return the slab to the pool once the fused call has consumed it."""
-        if self.slab is not None and pool is not None:
-            pool.release(self.slab)
-        self.slab = None
+        return np.stack([request.array for request in requests])
 
 
 class _Group:
-    __slots__ = ("requests", "slab", "deadline")
+    __slots__ = ("requests", "deadline")
 
     def __init__(self):
         self.requests: list[Request] = []
-        self.slab = None
         self.deadline = 0.0
 
 
@@ -106,7 +87,6 @@ class MicroBatcher:
         *,
         max_batch: int,
         max_wait_s: float,
-        slab_pool: SlabPool | None = None,
         stats: ServerStats | None = None,
         clock=time.perf_counter,
     ):
@@ -116,7 +96,6 @@ class MicroBatcher:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
-        self._pool = slab_pool
         self.stats = stats if stats is not None else ServerStats()
         self._clock = clock
         self._cond = threading.Condition()
@@ -125,36 +104,44 @@ class MicroBatcher:
         self._closed = False
 
     def submit(
-        self, key: tuple, op: str, sample: np.ndarray, *, deadline_s: float | None = None
+        self,
+        key: tuple,
+        op: str,
+        sample: np.ndarray,
+        *,
+        deadline_s: float | None = None,
+        max_pending: int | None = None,
     ) -> Request:
-        """Enqueue one sample under ``key``; returns the pending request.
+        """Enqueue a private copy of one sample under ``key``; returns the
+        pending request.
 
         ``deadline_s`` (relative, seconds) stamps an absolute expiry on the
         request; the server's worker loop drops expired requests before the
-        fused call so they never occupy a batch slot.
+        fused call so they never occupy a batch slot.  With ``max_pending``
+        set, a request arriving while that many are pending raises
+        :class:`ServerOverloadedError` instead; the check and the enqueue
+        share one critical section, so racing submitters cannot overshoot
+        the bound.
         """
+        array = np.array(sample, copy=True, order="C")
         now = self._clock()
         deadline_at = now + float(deadline_s) if deadline_s is not None else None
         with self._cond:
             if self._closed:
                 raise RuntimeError("batcher is closed; no new requests accepted")
+            pending = self.pending_count()
+            if max_pending is not None and pending >= max_pending:
+                self.stats.increment("shed_requests")
+                raise ServerOverloadedError(pending, max_pending)
             group = self._groups.get(key)
             if group is None:
                 group = self._groups[key] = _Group()
-            if group.slab is None and self._pool is not None:
-                group.slab = self._pool.try_acquire()
-            descriptor = None
-            if group.slab is not None:
-                descriptor = group.slab.append(sample, capacity_samples=self.max_batch)
-            request = Request(op, descriptor, None, now, deadline_at)
-            if descriptor is None:
-                request.array = np.ascontiguousarray(sample).copy()
-                self.stats.increment("fallback_requests")
+            request = Request(op, array, now, deadline_at)
             group.requests.append(request)
             if len(group.requests) == 1:
                 group.deadline = now + self.max_wait_s
             self.stats.increment("requests")
-            self.stats.observe_max("pending", self.pending_count())
+            self.stats.observe_max("pending", pending + 1)
             if len(group.requests) >= self.max_batch:
                 self._seal(key, "size")
             self._cond.notify()
@@ -166,15 +153,15 @@ class MicroBatcher:
         return self._clock
 
     def pending_count(self) -> int:
-        """Requests accepted but not yet handed to a worker (caller holds lock
-        or tolerates a racy read)."""
-        queued = sum(len(group.requests) for group in self._groups.values())
-        ready = sum(len(batch.requests) for batch in self._ready)
+        """Requests accepted but not yet handed to a worker."""
+        with self._cond:
+            queued = sum(len(group.requests) for group in self._groups.values())
+            ready = sum(len(batch.requests) for batch in self._ready)
         return queued + ready
 
     def _seal(self, key: tuple, trigger: str) -> None:
         group = self._groups.pop(key)
-        batch = MicroBatch(key, group.requests, group.slab, trigger)
+        batch = MicroBatch(key, group.requests, trigger)
         self._ready.append(batch)
         self.stats.increment("batches")
         self.stats.increment(f"{trigger}_flushes")

@@ -11,10 +11,11 @@ from __future__ import annotations
 class ServerOverloadedError(RuntimeError):
     """Admission rejected: the pending queue is at ``max_pending``.
 
-    Raised by :meth:`ModelServer.submit` *before* the request touches the
-    batcher, so shedding costs the caller one exception — no queue slot, no
-    future, no slab space.  ``pending`` and ``max_pending`` describe the
-    queue at rejection time.
+    Raised by :meth:`ModelServer.submit` from the batcher's admission
+    check, which holds the same lock as the enqueue, so racing submitters
+    never push the queue past the bound.  Shedding costs the caller one
+    exception — no queue slot, no future.  ``pending`` and ``max_pending``
+    describe the queue at rejection time.
     """
 
     def __init__(self, pending: int, max_pending: int):

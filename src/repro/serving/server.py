@@ -12,7 +12,10 @@ Thread workers, not processes: the heavy lifting is NumPy/BLAS which release
 the GIL, and each worker holds its own deep-copied estimator replica — so
 per-replica ``StepArena`` buffer pools stay warm and single-threaded while
 the workers overlap compute (``no_grad``, the dtype scope and the active
-arena are per thread, so workers never see each other's scopes).  ``reload(path)`` loads a fresh bundle (Conv→BN
+arena are per thread, so workers never see each other's scopes).  Nothing
+crosses a process boundary, so the server starts no process and creates no
+shared memory: each request's sample is copied once, on the heap, into its
+pending batch.  ``reload(path)`` loads a fresh bundle (Conv→BN
 folded once at load), builds new replicas, and swaps them in atomically;
 batches already in flight keep references to the old replicas, so nothing is
 dropped or reordered.
@@ -38,9 +41,8 @@ import numpy as np
 
 from repro.nn.inference import DEFAULT_SERVING_BATCH_SIZE
 from repro.serving.batcher import MicroBatcher
-from repro.serving.errors import DeadlineExceededError, ServerOverloadedError
+from repro.serving.errors import DeadlineExceededError
 from repro.serving.stats import ServerStats
-from repro.serving.transport import SlabPool
 from repro.utils.faults import fault_point
 
 #: default deadline trigger: a lone request waits at most this long for company
@@ -90,7 +92,6 @@ class ModelServer:
         max_batch: int = DEFAULT_SERVING_BATCH_SIZE,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         n_workers: int | None = None,
-        slab_slots: int | None = None,
         eval_mode: bool = True,
         max_pending: int | None = None,
         clock=None,
@@ -105,15 +106,10 @@ class ModelServer:
         self.max_pending = int(max_pending) if max_pending is not None else None
         self._eval_mode = eval_mode
         self._stats = ServerStats()
-        # enough slabs for every worker's in-flight batch plus a few pending
-        # groups (proba/encode × shapes) before the copying fallback kicks in
-        slots = slab_slots if slab_slots is not None else self.n_workers + 4
-        self._pool = SlabPool(slots)
         batcher_kwargs = {} if clock is None else {"clock": clock}
         self._batcher = MicroBatcher(
             max_batch=self.max_batch,
             max_wait_s=self.max_wait_ms / 1e3,
-            slab_pool=self._pool,
             stats=self._stats,
             **batcher_kwargs,
         )
@@ -178,7 +174,7 @@ class ModelServer:
         return self
 
     def close(self) -> None:
-        """Drain pending requests, stop the workers, free the slabs.
+        """Drain pending requests and stop the workers.
 
         Every request accepted before ``close`` is still answered; calling
         again (or on a never-started server) is a silent no-op.
@@ -192,7 +188,6 @@ class ModelServer:
         for thread in self._threads:
             thread.join(timeout=60.0)
         self._threads = []
-        self._pool.close()
 
     def __enter__(self) -> "ModelServer":
         return self.start()
@@ -215,7 +210,8 @@ class ModelServer:
 
         With ``max_pending`` set, a full queue raises
         :class:`ServerOverloadedError` *here* — shedding is free for the
-        server and immediate for the caller.
+        server and immediate for the caller.  The sample is copied before
+        this returns, so the caller may overwrite its array at once.
         """
         group = _OP_GROUPS.get(op)
         if group is None:
@@ -225,11 +221,6 @@ class ModelServer:
                 "server is not running; call start() or use it as a context manager"
             )
         self._ensure_workers()
-        if self.max_pending is not None:
-            pending = self._batcher.pending_count()
-            if pending >= self.max_pending:
-                self._stats.increment("shed_requests")
-                raise ServerOverloadedError(pending, self.max_pending)
         sample = np.asarray(sample)
         if sample.ndim == 1:
             sample = sample[None, :]
@@ -239,7 +230,9 @@ class ModelServer:
             )
         key = (group, sample.shape, sample.dtype.name)
         deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-        return self._batcher.submit(key, op, sample, deadline_s=deadline_s).future
+        return self._batcher.submit(
+            key, op, sample, deadline_s=deadline_s, max_pending=self.max_pending
+        ).future
 
     def _gather(self, X, op: str):
         X = np.asarray(X)
@@ -407,8 +400,6 @@ class ModelServer:
                 for request in batch.requests:
                     _reject(request.future, error)
                 self._stats.increment("errors", len(batch.requests))
-            finally:
-                batch.release(self._pool)
 
 
 def _resolve(future, value) -> None:

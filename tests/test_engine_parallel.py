@@ -18,10 +18,10 @@ from repro.core.pretrainer import AimTSPretrainer
 from repro.engine import Trainer, TrainLoop, shard_arrays
 from repro.engine.parallel import (
     GradientWorkerPool,
+    RingArena,
     WorkerError,
     _decode_batch,
     _encode_batch,
-    _InputArena,
     derive_worker_seed,
 )
 from repro.nn import Adam, Linear, Tensor
@@ -158,36 +158,35 @@ class TestShardArrays:
 
 class TestBatchTransport:
     def test_roundtrip_through_arena(self):
-        arena = _InputArena()
-        batch = (np.arange(12.0).reshape(3, 4), None, np.float32(2.5))
-        arena.ensure(256)
-        arena.reset()
-        encoded = _encode_batch(batch, arena)
-        decoded = _decode_batch(encoded, arena._shm.buf)
-        np.testing.assert_array_equal(decoded[0], batch[0])
-        assert decoded[1] is None and decoded[2] == np.float32(2.5)
-        arena.close()
+        ring = RingArena(2, 256)
+        try:
+            batch = (np.arange(12.0).reshape(3, 4), None, np.float32(2.5))
+            encoded = _encode_batch(batch, ring.writer(0))
+            decoded = _decode_batch(encoded, ring._shm.buf)
+            np.testing.assert_array_equal(decoded[0], batch[0])
+            assert decoded[1] is None and decoded[2] == np.float32(2.5)
+        finally:
+            ring.close(unlink=True)
 
     def test_overflow_falls_back_to_pickle(self):
-        arena = _InputArena()
-        arena.ensure(16)
-        arena.reset()
-        big = np.zeros((64, 64))
-        encoded = _encode_batch(big, arena)
-        assert encoded[0] == "pickle"
-        np.testing.assert_array_equal(_decode_batch(encoded, None), big)
-        arena.close()
+        ring = RingArena(2, 16)
+        try:
+            big = np.zeros((64, 64))
+            encoded = _encode_batch(big, ring.writer(0))
+            assert encoded[0] == "pickle"
+            np.testing.assert_array_equal(_decode_batch(encoded, None), big)
+        finally:
+            ring.close(unlink=True)
 
     def test_decoded_arrays_are_copies(self):
-        arena = _InputArena()
-        arena.ensure(256)
-        arena.reset()
-        encoded = _encode_batch(np.ones(4), arena)
-        decoded = _decode_batch(encoded, arena._shm.buf)
-        arena.reset()
-        _encode_batch(np.zeros(4), arena)
-        np.testing.assert_array_equal(decoded, np.ones(4))
-        arena.close()
+        ring = RingArena(2, 256)
+        try:
+            encoded = _encode_batch(np.ones(4), ring.writer(0))
+            decoded = _decode_batch(encoded, ring._shm.buf)
+            _encode_batch(np.zeros(4), ring.writer(0))  # the next step rewrites the slot
+            np.testing.assert_array_equal(decoded, np.ones(4))
+        finally:
+            ring.close(unlink=True)
 
 
 def test_derive_worker_seed_is_stable_and_distinct():
@@ -255,6 +254,37 @@ class TestParallelPretrainSmoke:
         curve = baseline.pretrain(tiny_pool())
         baseline.shutdown_workers()
         assert len(curve) == 1 and np.isfinite(curve).all()
+
+
+class TestWorkerRing:
+    def test_regrown_ring_keeps_gradients_and_unlinks_the_old_segment(self):
+        # in a fit the first batch is the largest, so only direct steps reach
+        # the regrow path: pool A grows from an 8- to a 64-sample batch, pool
+        # B starts at 64 samples, and the same step key must give the same
+        # gradient bit for bit
+        from repro.core.pretrainer import _PretrainLoop
+
+        pretrainer = AimTSPretrainer(AimTSConfig(**TINY))
+        loop = _PretrainLoop(pretrainer, pool=None, use_cache=False)
+        parameters = list(pretrainer.parameters())
+        small = loop.shard_batch((tiny_pool(8, seed=1), None), 2)
+        large = loop.shard_batch((tiny_pool(64, seed=2), None), 2)
+
+        def make_pool():
+            return GradientWorkerPool(loop.worker_factory(), parameters, n_workers=2)
+
+        with make_pool() as pool_a:
+            pool_a.step(small, step_key=(0, 0))
+            outgrown = pool_a._ring.spec
+            pool_a.step(large, step_key=(0, 1))
+            assert pool_a._ring.slot_nbytes > outgrown[2]
+            with pytest.raises(FileNotFoundError):
+                RingArena.attach(*outgrown)
+            grads_a = [param.grad.tobytes() for param in parameters]
+        with make_pool() as pool_b:
+            pool_b.step(large, step_key=(0, 1))
+            grads_b = [param.grad.tobytes() for param in parameters]
+        assert grads_a == grads_b
 
 
 class TestTrainerValidation:
@@ -452,43 +482,3 @@ class TestShutdownLifecycle:
         # close() unregistered itself, so interpreter shutdown never calls
         # into an already-dead pool
         assert pool.close not in registered
-
-
-class TestInputArenaView:
-    def test_view_roundtrips_descriptor_zero_copy(self):
-        from repro.engine.parallel import InputArena
-
-        arena = InputArena()
-        arena.ensure(1024)
-        array = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        descriptor = arena.write(array)
-        view = arena.view(descriptor)
-        np.testing.assert_array_equal(view, array)
-        view[0, 0, 0] = -1.0  # a view, not a copy: writes land in the arena
-        assert arena.view(descriptor)[0, 0, 0] == -1.0
-        arena.close()
-
-    def test_consecutive_writes_form_contiguous_batch(self):
-        from repro.engine.parallel import InputArena
-
-        arena = InputArena()
-        arena.ensure(4096)
-        samples = [np.full((2, 8), float(i)) for i in range(3)]
-        first = arena.write(samples[0])
-        for sample in samples[1:]:
-            arena.write(sample)
-        offset, dtype, shape = first
-        batch = arena.view((offset, dtype, (3,) + shape))
-        np.testing.assert_array_equal(batch, np.stack(samples))
-        arena.close()
-
-    def test_view_without_segment_raises(self):
-        from repro.engine.parallel import InputArena
-
-        with pytest.raises(ValueError, match="no segment"):
-            InputArena().view((0, "float64", (1,)))
-
-    def test_private_alias_still_importable(self):
-        from repro.engine.parallel import InputArena
-
-        assert _InputArena is InputArena

@@ -231,8 +231,8 @@ class TestProducerPool:
     def test_oversize_batches_fall_back_to_pickle(self):
         payloads = [np.full(512, float(i)) for i in range(4)]  # 4 KiB each
         with ProducerPool(_scale_factory, n_producers=1, prefetch_depth=2) as pool:
-            pool._ensure_ring(64)  # pin a deliberately tiny ring first
-            out = self._consume(pool.stream(0, iter(payloads)))
+            # a deliberately tiny size hint pins the ring far below 4 KiB slots
+            out = self._consume(pool.stream(0, iter(payloads), slot_nbytes=64))
             for step, (doubled, _) in enumerate(out):
                 np.testing.assert_array_equal(doubled, np.full(512, 2.0 * step))
             assert pool.last_stream_stats["oversize_arrays"] > 0

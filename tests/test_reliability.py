@@ -8,8 +8,9 @@ contract is that recovery is *bit-identical*, not merely "it didn't crash".
 Covered: the fault-plan mechanics themselves, restart-policy determinism,
 producer/worker crash + respawn with replayed steps (AimTS and SimCLR loss
 curves ``==`` the no-fault run), restart-budget exhaustion degrading to the
-inline path with a recorded warning, serving overload shedding / deadline
-expiry / dead-worker replacement, corpus read retries + quarantine, atomic
+inline path with a recorded warning, serving overload shedding (also under
+racing submitters) / deadline expiry / dead-worker replacement / the
+submit-time sample copy, corpus read retries + quarantine, atomic
 bundle/checkpoint writes surviving an injected crash, and the render cache's
 spill readback retry.
 
@@ -20,6 +21,7 @@ with randomized fault seeds via ``REPRO_CHAOS_SEED``.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 import warnings
@@ -358,6 +360,76 @@ class TestServingReliability:
         assert report.n_completed == report.n_requests
         assert report.n_shed == report.n_errors == 0
         assert report.goodput_rps > 0.0
+
+
+def _gated_server(**server_kwargs):
+    """A started one-worker server whose worker is parked inside the gate.
+
+    The first request seals a one-sample batch; once the worker has taken
+    it, nothing is pending and every later request waits in the batcher
+    until the gate opens.  Returns ``(server, estimator, stuck_future)``.
+    """
+    estimator = EchoEstimator()
+    estimator.gate = threading.Event()
+    server = ModelServer(
+        estimator, max_batch=1, max_wait_ms=50.0, n_workers=1, **server_kwargs
+    ).start()
+    stuck = server.submit(np.zeros((1, 8)), op="predict_proba")
+    _wait_until(lambda: server._batcher.pending_count() == 0)
+    return server, estimator, stuck
+
+
+class TestServingAdmission:
+    def test_racing_submitters_never_overshoot_max_pending(self):
+        # admission check and enqueue are one critical section: of sixteen
+        # submitters released together, exactly max_pending get in
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                server, estimator, stuck = _gated_server(max_pending=4)
+                barrier = threading.Barrier(16)
+                accepted, shed = [], []
+
+                def submitter(fill: float) -> None:
+                    barrier.wait(timeout=10.0)
+                    try:
+                        accepted.append(server.submit(np.full((1, 8), fill), op="encode"))
+                    except ServerOverloadedError as error:
+                        shed.append(error)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(float(i),)) for i in range(16)
+                ]
+                try:
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=10.0)
+                        assert not thread.is_alive()
+                finally:
+                    estimator.gate.set()
+                    server.close()
+                for future in [stuck, *accepted]:
+                    future.result(timeout=10.0)
+                assert (len(accepted), len(shed)) == (4, 12)
+                assert server.stats()["shed_requests"] == 12
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    def test_submit_keeps_its_own_copy_of_the_sample(self):
+        server, estimator, stuck = _gated_server()
+        try:
+            sample = np.full((1, 8), 0.25)
+            future = server.submit(sample, op="predict_proba")
+            sample[...] = -3.0  # the caller reuses its buffer while the request waits
+            estimator.gate.set()
+            stuck.result(timeout=10.0)
+            row = future.result(timeout=10.0)
+        finally:
+            server.close()
+        expected = EchoEstimator().predict_proba(np.full((1, 1, 8), 0.25))[0]
+        np.testing.assert_array_equal(row, expected)
 
 
 # --------------------------------------------------------------------------- #

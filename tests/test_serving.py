@@ -2,10 +2,10 @@
 
 Covers the ISSUE 6 serving contract: responses bit-identical to direct
 ``predict`` / ``predict_proba`` / ``encode``, the deadline trigger flushing a
-lone queued request, hot ``reload`` under load losing nothing, and the
-batcher/transport mechanics (size flush, group keying, slab reuse, drain on
-close).  A fake deterministic clock drives the pure-batcher tests so nothing
-here sleeps for correctness.
+lone queued request, hot ``reload`` under load losing nothing, a server
+that creates no shared memory, and the batcher mechanics (size flush, group
+keying, drain on close).  A fake deterministic clock drives the pure-batcher
+tests so nothing here sleeps for correctness.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from repro.api import load_estimator, make_estimator, serve
 from repro.core.config import AimTSConfig, FineTuneConfig
 from repro.nn.arena import active_arena
 from repro.nn.tensor import get_default_dtype, is_grad_enabled
-from repro.serving import (
-    MicroBatcher,
-    ModelServer,
-    SampleSlab,
-    ServerStats,
-    SlabPool,
-)
+from repro.serving import MicroBatcher, ModelServer, ServerStats
 
 
 # --------------------------------------------------------------------------- #
@@ -121,8 +115,7 @@ class TestMicroBatcher:
 
     def test_batch_materializes_in_submission_order(self):
         clock = FakeClock()
-        pool = SlabPool(2)
-        batcher = MicroBatcher(max_batch=4, max_wait_s=10.0, slab_pool=pool, clock=clock)
+        batcher = MicroBatcher(max_batch=4, max_wait_s=10.0, clock=clock)
         key = ("proba", (1, 4), "float64")
         samples = [np.full((1, 4), float(i)) for i in range(4)]
         for sample in samples:
@@ -130,8 +123,6 @@ class TestMicroBatcher:
         batch = batcher.next_batch()
         X = batch.materialize()
         np.testing.assert_array_equal(X, np.stack(samples))
-        batch.release(pool)
-        pool.close()
 
     def test_close_drains_pending_and_rejects_new(self):
         clock = FakeClock()
@@ -159,48 +150,6 @@ class TestMicroBatcher:
         thread.join(timeout=5.0)
         assert result["batch"] is not None
         assert result["batch"].trigger == "deadline"
-
-
-# --------------------------------------------------------------------------- #
-# slab transport
-# --------------------------------------------------------------------------- #
-class TestSlabTransport:
-    def test_contiguous_appends_form_one_batch_view(self):
-        slab = SampleSlab()
-        samples = [np.full((2, 8), float(i)) for i in range(3)]
-        descriptors = [slab.append(s, capacity_samples=4) for s in samples]
-        assert all(d is not None for d in descriptors)
-        batch = slab.batch_view(descriptors)
-        assert batch is not None and batch.shape == (3, 2, 8)
-        np.testing.assert_array_equal(batch, np.stack(samples))
-        slab.close()
-
-    def test_heterogeneous_descriptors_fall_back_to_none(self):
-        slab = SampleSlab()
-        a = slab.append(np.zeros((2, 8)), capacity_samples=4)
-        b = slab.append(np.zeros((2, 8), dtype=np.float32), capacity_samples=4)
-        assert slab.batch_view([a, b]) is None
-        slab.close()
-
-    def test_recycled_slab_reuses_storage(self):
-        slab = SampleSlab()
-        slab.append(np.zeros((2, 8)), capacity_samples=4)
-        capacity = slab._arena.capacity
-        slab.recycle()
-        slab.append(np.ones((2, 8)), capacity_samples=4)
-        assert slab._arena.capacity == capacity  # no regrow for like-sized batch
-        slab.close()
-
-    def test_pool_bounds_and_recycles(self):
-        pool = SlabPool(1)
-        first = pool.try_acquire()
-        assert first is not None
-        assert pool.try_acquire() is None  # exhausted: caller falls back to copies
-        pool.release(first)
-        assert pool.try_acquire() is first
-        pool.release(first)
-        pool.close()
-        assert pool.try_acquire() is None  # closed pools hand out nothing
 
 
 # --------------------------------------------------------------------------- #
@@ -242,6 +191,40 @@ class TestModelServer:
                 thread.join(timeout=60)
         got = np.stack([results[i] for i in range(len(test_X))])
         assert np.array_equal(got, direct["predict_proba"])
+
+    def test_server_creates_no_shared_memory(self, bundle_path, test_X, direct, monkeypatch):
+        # the workers are threads: a request never needs a shared-memory
+        # segment (nor the resource-tracker process one would start)
+        from multiprocessing import shared_memory
+
+        created = []
+        real_init = shared_memory.SharedMemory.__init__
+
+        def recording_init(self, *args, **kwargs):
+            created.append((args, kwargs))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", recording_init)
+        server = ModelServer.from_bundle(
+            bundle_path, max_batch=4, max_wait_ms=2.0, n_workers=2
+        ).start()
+        results = {}
+
+        def submitter(op: str) -> None:
+            results[op] = getattr(server, op)(test_X)
+
+        threads = [threading.Thread(target=submitter, args=(op,)) for op in ("predict_proba", "encode")]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            server.close()
+        assert created == []
+        assert np.array_equal(results["predict_proba"], direct["predict_proba"])
+        assert np.array_equal(results["encode"], direct["encode"])
 
     def test_worker_scopes_never_reach_the_caller_thread(self, bundle_path, test_X, direct):
         # each worker runs forward under no_grad, the model dtype and its
