@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AimTSConfig, AimTSPretrainer
+from repro.core import AimTSConfig, AimTSPretrainer, sample_mixup_coefficients
 from repro.core.prototypes import adaptive_temperatures, pairwise_view_distances
 from repro.data import load_pretraining_corpus
 from repro.data.loaders import build_pretraining_pool
@@ -65,7 +65,12 @@ def main() -> None:
     for name, overrides in variants.items():
         seed_everything(3407)
         variant = AimTSPretrainer(AimTSConfig(repr_dim=24, proj_dim=12, hidden_channels=12, depth=2, series_length=64, panel_size=24, batch_size=12, epochs=1, **overrides))
-        losses = variant.compute_batch_loss(batch)
+        # the produce stage of a step: two view sets, the line-chart images
+        # and the mixup coefficients lambda ~ Beta(gamma, gamma) (Eq. 9)
+        views_a, views_b = variant.bank.two_views(batch)
+        images = variant.renderer.render_batch(batch)
+        lam = sample_mixup_coefficients(len(batch), gamma=variant.config.gamma, seed=3407)
+        losses = variant.compute_batch_loss(batch, images, views_a, views_b, lam)
         loss_table.add_row([name, float(losses["total"].item())])
     print(loss_table.render())
 

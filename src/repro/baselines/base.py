@@ -69,10 +69,10 @@ class BaselineConfig:
     #: toggle, mirroring AimTSConfig.
     n_workers: int = 1
     augment_batched: bool = True
-    #: pipelined pre-training (producer processes + ring prefetch), mirroring
-    #: AimTSConfig: n_producers >= 1 produces views ahead of the gradient
-    #: step with per-batch streams keyed by SeedSequence([seed, epoch, step]);
-    #: 0 keeps the classic bit-exact path; prefetch_depth 0 = inline reference.
+    #: where a produce stage runs (objectives that have one), mirroring
+    #: AimTSConfig: 0 inline on the parent, n_producers >= 1 in producer
+    #: processes through a ring of prefetch_depth >= 2 slots; per-batch
+    #: streams are keyed by SeedSequence([seed, epoch, step]) either way.
     n_producers: int = 0
     prefetch_depth: int = 2
     #: pooled autograd workspaces across training steps (StepArena),
@@ -100,7 +100,9 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
     """Base class for contrastive / reconstruction pre-training baselines.
 
     Subclasses implement :meth:`batch_loss`, which receives one mini-batch of
-    raw series ``(B, M, T)`` and returns a scalar loss Tensor.
+    raw series ``(B, M, T)`` — or, for objectives with a produce stage
+    (:attr:`supports_pipeline`), what :meth:`pipeline_produce` made of one —
+    and returns a scalar loss Tensor.
     """
 
     #: short name used in result tables
@@ -109,10 +111,11 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
     api_name = "baseline"
     supports_pretraining = True
     #: whether the objective splits into a produce stage (augment, no
-    #: parameters) and a loss stage — the pipelined pre-training contract
-    #: (:meth:`pipeline_produce` / :meth:`pipeline_loss`); objectives whose
-    #: stochastic draws happen inside the loss itself (e.g. TS2Vec crops)
-    #: keep this False and reject ``n_producers >= 1``
+    #: parameters; :meth:`pipeline_produce`) and a loss stage
+    #: (:meth:`batch_loss` on the produced batch) — such objectives always
+    #: pre-train on step-keyed streams; objectives whose stochastic draws
+    #: happen inside the loss itself (e.g. TS2Vec crops) keep this False and
+    #: reject ``n_producers >= 1``
     supports_pipeline = False
 
     def __init__(self, config: BaselineConfig | None = None):
@@ -204,19 +207,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         for augmentation in self._augmentations():
             augmentation.batched = batched
 
-    def _reseed_for_worker(self, worker_index: int, n_workers: int) -> None:
-        """Install the deterministic per-shard RNG streams in a worker replica.
-
-        The objective stream and each held augmentation op get independent
-        children of ``SeedSequence([seed, worker_index, n_workers])``; module
-        weights are untouched (workers receive the parent's parameters over
-        shared memory every step).
-        """
-        from repro.engine.parallel import derive_worker_seed
-
-        root = derive_worker_seed(self.config.seed, worker_index, n_workers)
-        self._install_rng_children(root)
-
     def _install_rng_children(self, root: np.random.SeedSequence) -> None:
         children = root.spawn(1 + len(self._augmentations()))
         self._rng = np.random.default_rng(children[0])
@@ -224,11 +214,11 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             augmentation._rng = np.random.default_rng(child)
 
     def _reseed_for_step(self, epoch: int, step: int) -> None:
-        """Install the step-keyed RNG streams of the pipelined produce stage.
+        """Install the step-keyed RNG streams of the produce stage.
 
         Derived from ``SeedSequence([seed, epoch, step])`` — a pure function
-        of the schedule position, so any producer (or the inline reference)
-        draws identical views for the same step.
+        of the schedule position, so any producer (or the parent) draws
+        identical views for the same step.
         """
         from repro.engine.parallel import derive_step_seed
 
@@ -237,10 +227,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
     # --------------------------------------------------------------- pipeline
     def pipeline_produce(self, batch: np.ndarray):  # pragma: no cover - interface
         """The produce stage of one step (augmented views; no parameters read)."""
-        raise NotImplementedError
-
-    def pipeline_loss(self, produced) -> Tensor:  # pragma: no cover - interface
-        """The loss on a produced batch (parameters read, no augmentation RNG)."""
         raise NotImplementedError
 
     def pretrain(
@@ -308,11 +294,7 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
                 restart_policy=self.restart_policy,
                 step_arena=self.config.step_arena,
             )
-        if (
-            self.config.n_producers >= 1
-            and self.config.prefetch_depth >= 2
-            and self._producer_pool is None
-        ):
+        if self.config.n_producers >= 1 and self._producer_pool is None:
             from repro.engine.parallel import ProducerPool
 
             # persistent producers: replicas are pure functions of the config
@@ -491,12 +473,11 @@ def _baseline_worker_replica(
     """Build one gradient-worker replica of a baseline objective.
 
     Module-level so spawn workers can unpickle it; weights are overwritten by
-    the parent's shared-memory broadcast each step, while the stochastic
-    streams come from the deterministic per-shard derivation.
+    the parent's shared-memory broadcast each step, and the stochastic
+    streams are re-keyed per step (:meth:`_BaselinePretrainLoop.reseed_for_step`).
     """
     baseline = baseline_cls(config, **init_kwargs)
     baseline._apply_augment_mode()
-    baseline._reseed_for_worker(worker_index, n_workers)
     loop = _BaselinePretrainLoop(baseline, None)
     # remember the shard identity so the pool can reseed the replica per step
     # (derive_worker_step_seed) — the bit-identical respawn/replay contract
@@ -509,8 +490,8 @@ class _BaselineProducer:
 
     Holds a full baseline instance (cheap at baseline model sizes) but only
     ever runs its parameter-free :meth:`~SelfSupervisedBaseline.pipeline_produce`
-    stage, with RNG streams rekeyed per step so every replica — and the inline
-    sequential reference — draws identical views for the same ``(epoch, step)``.
+    stage, with RNG streams rekeyed per step so every replica — and the
+    parent — draws identical views for the same ``(epoch, step)``.
     """
 
     def __init__(self, baseline: SelfSupervisedBaseline):
@@ -619,9 +600,6 @@ class _BaselinePretrainLoop(TrainLoop):
             self.baseline._manifest_init_kwargs(),
         )
 
-    def pipeline_seed(self):
-        return self.baseline.config.seed
-
     def pipeline_batches(self, epoch):
         from repro.data.loaders import epoch_index_batches
 
@@ -636,9 +614,6 @@ class _BaselinePretrainLoop(TrainLoop):
             yield indices, np.ascontiguousarray(
                 series, dtype=self.baseline.dtype_policy.np_compute_dtype
             )
-
-    def consume_batch(self, produced) -> Tensor:
-        return self.baseline.pipeline_loss(produced)
 
     def pipeline_slot_nbytes(self) -> int:
         X = self.iterator.X

@@ -24,6 +24,7 @@ class SimCLR(SelfSupervisedBaseline):
     api_name = "simclr"
     #: all stochastic draws happen in the two augmentation calls, so the
     #: objective splits cleanly into produce (views) and loss (NT-Xent) stages
+    #: and pre-trains on step-keyed streams
     supports_pipeline = True
 
     def __init__(self, config: BaselineConfig | None = None, *, tau: float = 0.2):
@@ -42,13 +43,8 @@ class SimCLR(SelfSupervisedBaseline):
         view_b = self.augmentation(batch)
         return view_a, view_b
 
-    def pipeline_loss(self, produced: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    def batch_loss(self, produced: tuple[np.ndarray, np.ndarray]) -> Tensor:
         view_a, view_b = produced
         proj_a = self.projection(self.encoder(view_a))
         proj_b = self.projection(self.encoder(view_b))
         return nt_xent(proj_a, proj_b, tau=self.tau)
-
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
-        # the classic path is exactly produce → loss, so op and RNG order stay
-        # bit-identical whether or not the produce stage runs in a producer
-        return self.pipeline_loss(self.pipeline_produce(batch))

@@ -26,10 +26,9 @@ def _check_pipeline_knobs(n_producers: int, prefetch_depth: int, n_workers: int)
     """Shared validation of the pipelined pre-training knobs."""
     if n_producers < 0:
         raise ValueError(f"n_producers must be >= 0, got {n_producers}")
-    if prefetch_depth != 0 and prefetch_depth < 2:
+    if prefetch_depth < 2:
         raise ValueError(
-            "prefetch_depth must be 0 (inline sequential reference) or >= 2 "
-            f"(double-buffered ring), got {prefetch_depth}"
+            f"prefetch_depth must be >= 2 (double-buffered ring), got {prefetch_depth}"
         )
     if n_producers >= 1 and n_workers > 1:
         raise ValueError(
@@ -82,20 +81,21 @@ class AimTSConfig:
         Sharded data-parallel pre-training: with ``n_workers >= 2`` every
         mini-batch is split across a persistent pool of spawn-safe gradient
         worker processes (shared-memory parameter broadcast / fixed-order
-        gradient reduction, see :mod:`repro.engine.parallel`).  ``1`` (the
-        default) is the sequential path, bit-identical to earlier releases.
+        gradient reduction, see :mod:`repro.engine.parallel`); the parent
+        produces each batch and the workers compute the loss on their
+        shards.  ``1`` (the default) is the sequential path.
     n_producers, prefetch_depth:
-        Async pipelined pre-training: with ``n_producers >= 1`` rendering and
-        augmentation run in producer processes ahead of the gradient step,
-        publishing finished batches through a bounded shared-memory ring of
-        ``prefetch_depth`` slots (see
-        :class:`repro.engine.parallel.ProducerPool`).  Per-batch streams are
-        keyed by ``SeedSequence([seed, epoch, step])``, so the loss curve is
-        bit-identical at any producer count; ``prefetch_depth=0`` runs the
-        same schedule inline (the sequential reference), and
-        ``n_producers=0`` (default) keeps the classic synchronous path,
-        bit-exact with earlier releases.  Pipelining requires the sequential
-        gradient path (``n_workers=1``).
+        Where the produce stage of a step runs — the two augmented view
+        sets, the line-chart images and the mixup coefficients λ.
+        ``n_producers=0`` (default) produces inline on the parent; with
+        ``n_producers >= 1`` producer processes work ahead of the gradient
+        step, publishing finished batches through a bounded shared-memory
+        ring of ``prefetch_depth >= 2`` slots (see
+        :class:`repro.engine.parallel.ProducerPool`).  Every draw is keyed by
+        ``SeedSequence([seed, epoch, step])``, so the loss curve is
+        bit-identical at any producer count, which may also change across a
+        resume.  Producer processes require the sequential gradient path
+        (``n_workers=1``).
     augment_batched:
         Route the augmentation bank through the vectorized batch kernels
         (bit-identical to the per-sample reference loops under the same RNG

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mixup import geodesic_mixup, linear_mixup, sample_mixup_coefficients
+from repro.core.mixup import geodesic_mixup, linear_mixup
 from repro.nn.tensor import Tensor
 from repro.utils.validation import check_in_options, check_positive
 
@@ -184,22 +184,24 @@ def series_image_loss(
     image_proj: Tensor,
     *,
     beta: float = 0.9,
-    gamma: float = 0.1,
     tau: float = 0.2,
     mixup_mode: str = "geodesic",
-    rng: np.random.Generator | int | None = None,
+    lam: np.ndarray | None = None,
 ) -> Tensor:
     """Combined series-image loss ``L_SI`` (Eq. 12).
 
     ``mixup_mode`` selects the geodesic mixup of the paper, a linear-mixup
     ablation, or disables the mixup term entirely (the "naive" ablation row of
-    Table VI).
+    Table VI).  ``lam`` holds the per-sample mixup coefficients λ ~
+    Beta(γ, γ) (:func:`~repro.core.mixup.sample_mixup_coefficients`); the
+    mixup modes require it and ``"none"`` ignores it.
     """
     check_in_options("mixup_mode", mixup_mode, ("geodesic", "linear", "none"))
     naive = series_image_naive_loss(series_proj, image_proj, tau=tau)
     if mixup_mode == "none":
         return naive
-    lam = sample_mixup_coefficients(series_proj.shape[0], gamma=gamma, seed=rng)
+    if lam is None:
+        raise ValueError(f"mixup_mode={mixup_mode!r} needs the mixup coefficients lam")
     if mixup_mode == "geodesic":
         mixed = geodesic_mixup(image_proj, series_proj, lam)
     else:

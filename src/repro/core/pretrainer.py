@@ -2,14 +2,16 @@
 
 For every mini-batch drawn from the merged multi-source pool the pre-trainer:
 
-1. generates two augmented view sets with the G-augmentation bank,
+1. produces the step's parameter-free inputs — two augmented view sets from
+   the G-augmentation bank, a line-chart image per sample and the geodesic
+   mixup coefficients λ ~ Beta(γ, γ) — all keyed by ``SeedSequence([seed,
+   epoch, step])``, on the parent or in producer processes,
 2. encodes all views with the TS encoder, projects them, and forms the two
    prototypes per sample,
 3. computes the two-level prototype loss ``L_proto`` (Eq. 6) with adaptive
    temperatures derived from the raw augmented views,
-4. renders each sample as a line-chart image, encodes it with the image
-   encoder, and computes the series-image loss ``L_SI`` (Eq. 12) with the
-   geodesic mixup negatives,
+4. encodes the images with the image encoder and computes the series-image
+   loss ``L_SI`` (Eq. 12) with the geodesic mixup negatives,
 5. optimises both encoders and projection heads with Adam + StepLR on the
    total loss ``L = L_proto + L_SI`` (Eq. 1).
 """
@@ -18,12 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.augmentations import AugmentationBank, default_bank
+from repro.augmentations import AugmentationBank
 from repro.core.config import AimTSConfig
 from repro.core.losses import prototype_loss, series_image_loss
+from repro.core.mixup import sample_mixup_coefficients
 from repro.core.prototypes import adaptive_temperatures, aggregate_prototype, pairwise_view_distances
 from repro.data.dataset import TimeSeriesDataset
-from repro.data.loaders import BatchIterator, _is_corpus, build_pretraining_pool
+from repro.data.loaders import _is_corpus, build_pretraining_pool, epoch_index_batches
 from repro.encoders import ImageEncoder, ProjectionHead, TSEncoder
 from repro.engine import (
     DtypePolicy,
@@ -31,11 +34,11 @@ from repro.engine import (
     ProgressLogger,
     Trainer,
     TrainLoop,
+    shard_arrays,
 )
 from repro.engine.profiler import profiled_phase
 from repro.imaging import LineChartRenderer, RenderCache
 from repro.nn import Adam, StepArena, StepLR, Tensor
-from repro.nn import functional as F
 from repro.nn.tensor import default_dtype
 from repro.utils.seeding import new_rng
 
@@ -120,29 +123,33 @@ def build_augmentation_bank(config: AimTSConfig, rng: np.random.Generator) -> Au
     )
 
 
-def _pretrain_producer_replica(config: AimTSConfig, producer_index: int):
+def _pretrain_producer_replica(
+    config: AimTSConfig, cache: RenderCache | None, producer_index: int
+):
     """Build one batch-producer replica of the pre-training produce stage.
 
-    Module-level so spawn producers can unpickle it.  ``producer_index`` is
-    deliberately unused for anything stochastic: every stream ``produce``
-    consumes is re-keyed per step, so replicas are interchangeable and the
-    pool can grow/shrink without touching the curve.
+    Module-level so spawn producers can unpickle it.  ``cache`` is the
+    parent's precomputed render cache when the parent produces, ``None`` in
+    producer processes.  ``producer_index`` is deliberately unused for
+    anything stochastic: every stream ``produce`` consumes is re-keyed per
+    step, so replicas are interchangeable and the pool can grow/shrink
+    without touching the curve.
     """
-    return _PretrainProducer(config)
+    return _PretrainProducer(config, cache)
 
 
 class _PretrainProducer:
-    """The produce stage of one pipelined pre-training step: render + augment.
+    """The produce stage of one pre-training step: augment, render, mixup λ.
 
-    Holds its own augmentation bank, renderer and (when configured) render
-    cache — a spill directory is shared with sibling producers through the
-    cache's cross-process discovery, so each deterministic render is written
-    once pool-wide.  Before each batch the bank's streams are re-derived from
-    ``derive_step_seed(config.seed, epoch, step)``, making the output a pure
-    function of the step key.
+    Holds its own augmentation bank and renderer, and uses ``cache`` when
+    given, else builds its own render cache (when configured) — a spill
+    directory is shared with sibling producers through the cache's
+    cross-process discovery, so each deterministic render is written once
+    pool-wide.  Every draw derives from ``derive_step_seed(config.seed,
+    epoch, step)``, making the output a pure function of the step key.
     """
 
-    def __init__(self, config: AimTSConfig):
+    def __init__(self, config: AimTSConfig, cache: RenderCache | None):
         self.config = config
         self.dtype_policy = DtypePolicy(
             compute_dtype=config.compute_dtype, image_dtype=config.image_dtype
@@ -151,8 +158,8 @@ class _PretrainProducer:
         self.renderer = LineChartRenderer(
             panel_size=config.panel_size, dtype=self.dtype_policy.image_dtype
         )
-        self.cache: RenderCache | None = None
-        if config.use_series_image_loss and config.cache_images:
+        self.cache = cache
+        if cache is None and config.use_series_image_loss and config.cache_images:
             self.cache = RenderCache(
                 self.renderer,
                 max_bytes=config.cache_max_bytes,
@@ -162,45 +169,48 @@ class _PretrainProducer:
             )
 
     def produce(self, epoch: int, step: int, payload):
-        """``(indices, series)`` → ``(series, images, views_a, views_b)``."""
+        """``(indices, series)`` → ``(series, images, views_a, views_b, lam)``.
+
+        The step key spawns one child per augmentation (the view streams)
+        plus one for λ; disabled objectives leave their entries ``None``.
+        """
         from repro.engine.parallel import derive_step_seed
 
         indices, series = payload
         cfg = self.config
-        children = derive_step_seed(cfg.seed, epoch, step).spawn(cfg.n_augmentations)
-        for augmentation, child in zip(self.bank, children):
-            augmentation._rng = np.random.default_rng(child)
+        *view_keys, mixup_key = derive_step_seed(cfg.seed, epoch, step).spawn(
+            cfg.n_augmentations + 1
+        )
         views_a = views_b = None
         if cfg.use_prototype_loss:
-            views_a, views_b = self.bank.two_views(series)
-        images = None
+            for augmentation, key in zip(self.bank, view_keys):
+                augmentation._rng = np.random.default_rng(key)
+            with profiled_phase("augment"):
+                views_a, views_b = self.bank.two_views(series)
+        images = lam = None
         if cfg.use_series_image_loss:
-            images = (
-                self.cache.get_batch(series, indices)
-                if self.cache is not None
-                else self.renderer.render_batch(series)
-            )
-        return series, images, views_a, views_b
+            with profiled_phase("render"):
+                images = (
+                    self.cache.get_batch(series, indices)
+                    if self.cache is not None
+                    else self.renderer.render_batch(series)
+                )
+            if cfg.mixup_mode != "none":
+                lam = sample_mixup_coefficients(
+                    len(series), gamma=cfg.gamma, seed=np.random.default_rng(mixup_key)
+                )
+        return series, images, views_a, views_b, lam
 
 
 def _pretrain_worker_replica(config: AimTSConfig, worker_index: int, n_workers: int):
     """Build one gradient-worker replica of the pre-training objective.
 
     Runs inside a spawn worker (module-level so it pickles by reference).
-    The replica's weights are irrelevant — every step begins by copying the
-    parent's parameters from shared memory — but its stochastic components
-    (augmentation bank, mixup stream) are reseeded with the deterministic
-    per-shard stream ``SeedSequence([seed, worker_index, n_workers])``.
+    The replica only computes the loss on its shard of the batch the parent
+    produced, so it draws nothing at random; its weights are irrelevant —
+    every step begins by copying the parent's parameters from shared memory.
     """
-    from repro.engine.parallel import derive_worker_seed
-
-    pretrainer = AimTSPretrainer(config)
-    pretrainer.reseed(derive_worker_seed(config.seed, worker_index, n_workers))
-    loop = _PretrainLoop(pretrainer, pool=None, use_cache=False)
-    # remember the shard identity so the pool can reseed the replica per step
-    # (derive_worker_step_seed) — the bit-identical respawn/replay contract
-    loop._worker_key = (int(worker_index), int(n_workers))
-    return loop
+    return _PretrainLoop(AimTSPretrainer(config))
 
 
 class AimTSPretrainer:
@@ -291,15 +301,6 @@ class AimTSPretrainer:
         for module in self._trainable_modules():
             yield from module.parameters()
 
-    def reseed(self, seed: int | np.random.SeedSequence | np.random.Generator) -> None:
-        """Re-derive every stochastic stream (mixup + augmentation bank).
-
-        Used by the gradient workers to install their deterministic per-shard
-        streams; module weights are untouched.
-        """
-        self._rng = np.random.default_rng(seed)
-        self.bank = build_augmentation_bank(self.config, self._rng)
-
     def _encode_views(self, views: np.ndarray) -> tuple[Tensor, Tensor]:
         """Encode ``(G, B, M, T)`` views → per-view projections and raw representations.
 
@@ -316,28 +317,23 @@ class AimTSPretrainer:
 
     def compute_batch_loss(
         self,
-        batch: np.ndarray,
-        *,
-        images: np.ndarray | None = None,
-        views: tuple[np.ndarray, np.ndarray] | None = None,
+        series: np.ndarray,
+        images: np.ndarray | None,
+        views_a: np.ndarray | None,
+        views_b: np.ndarray | None,
+        lam: np.ndarray | None,
     ) -> dict[str, Tensor]:
-        """Compute all loss components for one ``(B, M, T)`` batch.
+        """Compute all loss components for one produced batch.
 
-        ``images`` optionally supplies pre-rendered line-chart images for the
-        batch (e.g. served from :attr:`render_cache`); when omitted the batch
-        is rendered on the spot.  ``views`` optionally supplies the two
-        pre-augmented ``(G, B, M, T)`` view sets (the pipelined producers'
-        output); when omitted the bank draws them here from its own streams.
+        The arguments are what the produce stage returns for a ``(B, M, T)``
+        batch of ``series``: its line-chart ``images``, the two augmented
+        ``(G, B, M, T)`` view sets and the ``(B,)`` mixup coefficients
+        ``lam`` (``None`` where the configuration does not use them).
         """
         cfg = self.config
         losses: dict[str, Tensor] = {}
 
         if cfg.use_prototype_loss:
-            if views is not None:
-                views_a, views_b = views
-            else:
-                with profiled_phase("augment"):
-                    views_a, views_b = self.bank.two_views(batch)
             proj_a, reps_a = self._encode_views(views_a)
             proj_b, reps_b = self._encode_views(views_b)
             prototypes_a = self.prototype_projection(
@@ -362,10 +358,7 @@ class AimTSPretrainer:
             )
 
         if cfg.use_series_image_loss:
-            if images is None:
-                with profiled_phase("render"):
-                    images = self.renderer.render_batch(batch)
-            series_repr = self.ts_encoder(batch)
+            series_repr = self.ts_encoder(series)
             image_repr = self.image_encoder(images)
             series_proj = self.series_projection(series_repr)
             image_proj = self.image_projection(image_repr)
@@ -373,10 +366,9 @@ class AimTSPretrainer:
                 series_proj,
                 image_proj,
                 beta=cfg.beta,
-                gamma=cfg.gamma,
                 tau=cfg.tau,
                 mixup_mode=cfg.mixup_mode,
-                rng=self._rng,
+                lam=lam,
             )
 
         if not losses:
@@ -424,8 +416,8 @@ class AimTSPretrainer:
         resume_from:
             Path of a :class:`~repro.engine.Checkpointer` bundle; the run
             continues from its saved epoch bit-identically (weights,
-            optimizer moments, scheduler step and per-epoch RNG streams all
-            restored).
+            optimizer moments and scheduler step restored; every draw is
+            step-keyed), at any ``n_producers``.
         """
         cfg = self.config
         n_epochs = epochs if epochs is not None else cfg.epochs
@@ -464,13 +456,12 @@ class AimTSPretrainer:
         # later, so inserts stay on; a sharded corpus pool skips the up-front
         # pass (it would densify the corpus) and fills the cache tiers during
         # the first epoch instead — either way each sample renders once.
-        # In pipelined mode the producers render (each owns a cache replica,
-        # sharing any spill directory via the cache's cross-process reads), so
-        # the parent neither precomputes nor holds a render cache.
+        # The inline producer (n_producers=0) renders from this cache; producer
+        # processes each own a cache replica (sharing any spill directory via
+        # the cache's cross-process reads), so the parent then holds none.
         pipelined = cfg.n_producers >= 1
-        use_cache = cfg.use_series_image_loss and cfg.cache_images and not pipelined
         corpus_pool = _is_corpus(pool)
-        if use_cache:
+        if cfg.use_series_image_loss and cfg.cache_images and not pipelined:
             spill = cfg.cache_spill_dir is not None
             self.render_cache = RenderCache(
                 self.renderer,
@@ -484,7 +475,7 @@ class AimTSPretrainer:
         else:
             self.render_cache = None
 
-        loop = _PretrainLoop(self, pool, use_cache)
+        loop = _PretrainLoop(self, pool, self.render_cache)
         # a pool that broke (or was closed) in an earlier fit is replaced, not
         # reused — e.g. after the trainer degraded a pipelined fit to inline
         if self._worker_pool is not None and not self._worker_pool.usable:
@@ -505,7 +496,7 @@ class AimTSPretrainer:
                 restart_policy=self.restart_policy,
                 step_arena=cfg.step_arena,
             )
-        if pipelined and cfg.prefetch_depth >= 2 and self._producer_pool is None:
+        if pipelined and self._producer_pool is None:
             from repro.engine.parallel import ProducerPool
 
             # persistent producers: replicas are pure functions of the config,
@@ -532,7 +523,6 @@ class AimTSPretrainer:
             scheduler=scheduler,
             callbacks=engine_callbacks,
             history=self._engine_history,
-            rng=self._rng,
             dtype_policy=self.dtype_policy,
             n_workers=cfg.n_workers,
             worker_pool=self._worker_pool,
@@ -580,77 +570,52 @@ class AimTSPretrainer:
 class _PretrainLoop(TrainLoop):
     """Engine adapter for the AimTS pre-training objective.
 
-    Batches are ``(series, images)`` pairs: the shuffled pool mini-batch plus
-    its cached renders (``None`` when the cache is off, in which case
-    :meth:`AimTSPretrainer.compute_batch_loss` rasterises on the fly).
-    Under sharded training the pair is split along the batch axis, so cached
-    images travel to the workers through the pool's shared-memory ring
-    instead of being re-rendered (or pickled) per shard.
+    A step's batch is produced (:class:`_PretrainProducer`) from the
+    ``(indices, series)`` payloads of :meth:`pipeline_batches`, on the parent
+    or in producer processes; :meth:`batch_loss` computes the losses on it.
+    Under sharded training the parent's produced batch is split along its
+    samples, so the workers only compute the loss.  Worker replicas are built
+    without a pool and only serve :meth:`batch_loss`.
     """
 
     #: contrastive prototype construction needs at least a pair per shard
     shard_min_samples = 2
 
-    #: ``(worker_index, n_workers)`` in worker-replica mode (set by
-    #: :func:`_pretrain_worker_replica`); enables per-step reseeding
-    _worker_key = None
-
-    def __init__(
-        self, pretrainer: AimTSPretrainer, pool, use_cache: bool
-    ):
+    def __init__(self, pretrainer: AimTSPretrainer, pool=None, render_cache=None):
         self.pretrainer = pretrainer
-        self.use_cache = use_cache
-        # the iterator shares the pre-trainer's generator, so each epoch's
-        # shuffle consumes the exact stream position the seed loop did (and
-        # checkpoints can snapshot/restore it through named_rngs); worker
-        # replicas are built without a pool and only serve batch_loss.
-        # The dtype is a no-op for in-RAM pools (already cast by fit) and the
-        # per-batch densification cast for sharded corpora.
-        self.iterator = (
-            None
-            if pool is None
-            else BatchIterator(
-                pool,
-                batch_size=pretrainer.config.batch_size,
-                shuffle=True,
-                seed=pretrainer._rng,
-                dtype=pretrainer.dtype_policy.np_compute_dtype,
-                return_indices=True,
-            )
-        )
+        self.pool = pool
+        #: handed to the inline producer (None for producer processes)
+        self.render_cache = render_cache
 
     def worker_factory(self):
         import functools
 
         return functools.partial(_pretrain_worker_replica, self.pretrainer.config)
 
-    def reseed_for_step(self, epoch: int, step: int) -> None:
-        """Re-derive the replica streams from the (shard, step) key.
+    def shard_batch(self, batch, n_shards: int) -> list[tuple]:
+        """Split a produced batch; the view sets carry samples on axis 1."""
+        series, images, views_a, views_b, lam = batch
 
-        Called by the gradient worker before every ``batch_loss``: each
-        sharded step becomes a pure function of ``(seed, worker_index,
-        n_workers, epoch, step)``, so a respawned worker recomputes the
-        identical gradient for a replayed step.
-        """
-        from repro.engine.parallel import derive_worker_step_seed
+        def swap(views):
+            return None if views is None else views.swapaxes(0, 1)
 
-        if self._worker_key is None:
-            return
-        worker_index, n_workers = self._worker_key
-        self.pretrainer.reseed(
-            derive_worker_step_seed(
-                self.pretrainer.config.seed, worker_index, n_workers, epoch, step
-            )
+        shards = shard_arrays(
+            (series, images, swap(views_a), swap(views_b), lam),
+            n_shards,
+            min_samples=self.shard_min_samples,
         )
+        return [
+            ((part, part_images, swap(part_a), swap(part_b), part_lam), n_samples)
+            for (part, part_images, part_a, part_b, part_lam), n_samples in shards
+        ]
 
     # ---------------------------------------------------------------- pipeline
     def producer_factory(self):
         import functools
 
-        return functools.partial(_pretrain_producer_replica, self.pretrainer.config)
-
-    def pipeline_seed(self):
-        return int(self.pretrainer.config.seed)
+        return functools.partial(
+            _pretrain_producer_replica, self.pretrainer.config, self.render_cache
+        )
 
     def pipeline_batches(self, epoch):
         """``(indices, series)`` payloads in the stateless epoch schedule.
@@ -659,40 +624,20 @@ class _PretrainLoop(TrainLoop):
         ships them with the work item; producers stay config-only replicas.
         Order derives from ``SeedSequence([seed, epoch])`` — see
         :func:`repro.data.loaders.epoch_index_batches` — so it is shared by
-        the inline reference, every producer count, and resumed runs.
+        every producer count and by resumed runs.
         """
-        from repro.data.loaders import epoch_index_batches
-
-        if self.iterator is None:
-            raise RuntimeError("worker-replica loops only provide batch_loss()")
-        pretrainer = self.pretrainer
-        cfg = pretrainer.config
-        pool = self.iterator.X
-        corpus = self.iterator.corpus
-        dtype = pretrainer.dtype_policy.np_compute_dtype
+        cfg = self.pretrainer.config
+        dtype = self.pretrainer.dtype_policy.np_compute_dtype
         for indices in epoch_index_batches(
-            pool, cfg.batch_size, epoch=epoch, seed=cfg.seed
+            self.pool, cfg.batch_size, epoch=epoch, seed=cfg.seed
         ):
             if indices.size < 2:
                 continue  # contrastive losses need at least two samples
-            if corpus is not None:
-                series = corpus.gather(indices).astype(dtype, copy=False)
+            if _is_corpus(self.pool):
+                series = self.pool.gather(indices).astype(dtype, copy=False)
             else:
-                series = pool[indices]
+                series = self.pool[indices]
             yield indices, series
-
-    def consume_batch(self, produced) -> dict:
-        series, images, views_a, views_b = produced
-        losses = self.pretrainer.compute_batch_loss(
-            series,
-            images=images,
-            views=None if views_a is None else (views_a, views_b),
-        )
-        return {
-            "loss": losses["total"],
-            "prototype": losses.get("prototype", 0.0),
-            "series_image": losses.get("series_image", 0.0),
-        }
 
     def pipeline_slot_nbytes(self) -> int:
         cfg = self.pretrainer.config
@@ -703,6 +648,7 @@ class _PretrainLoop(TrainLoop):
             total += 2 * cfg.n_augmentations * series
         if cfg.use_series_image_loss:
             total += cfg.batch_size * self.pretrainer.renderer.image_nbytes(cfg.n_variables)
+            total += cfg.batch_size * 8  # the float64 mixup coefficients
         return total
 
     def named_modules(self) -> dict:
@@ -716,31 +662,11 @@ class _PretrainLoop(TrainLoop):
             "image_projection": pretrainer.image_projection,
         }
 
-    def named_rngs(self) -> dict:
-        rngs = {"pretrainer": self.pretrainer._rng}
-        for augmentation in self.pretrainer.bank:
-            rngs[f"augmentation.{augmentation.name}"] = augmentation._rng
-        return rngs
-
     def metric_names(self) -> tuple[str, ...]:
         return ("loss", "prototype", "series_image")
 
-    def make_batches(self, rng, epoch):
-        if self.iterator is None:
-            raise RuntimeError("worker-replica loops only provide batch_loss()")
-        for batch, _, batch_indices in self.iterator:
-            if batch.shape[0] < 2:
-                continue  # contrastive losses need at least two samples
-            if self.use_cache:
-                with profiled_phase("render"):
-                    images = self.pretrainer.render_cache.get_batch(batch, batch_indices)
-            else:
-                images = None
-            yield batch, images
-
     def batch_loss(self, batch) -> dict:
-        series, images = batch
-        losses = self.pretrainer.compute_batch_loss(series, images=images)
+        losses = self.pretrainer.compute_batch_loss(*batch)
         # disabled objectives log 0.0 so the history keeps the seed's fixed
         # four-curve shape under every ablation switch
         return {

@@ -200,10 +200,10 @@ def epoch_index_batches(
 ) -> Iterator[np.ndarray]:
     """Stateless per-epoch batch schedule over an in-RAM pool or a corpus.
 
-    The pipelined pre-training schedule: batch order derives from
+    The schedule of every loop with a produce stage: batch order derives from
     ``SeedSequence([seed, epoch])`` alone — no shared iterator advances — so
-    producers, the inline reference path and a resumed run all regenerate the
-    identical sequence.  Corpus pools route through the reader's shard-aware
+    producers, the parent and a resumed run all regenerate the identical
+    sequence.  Corpus pools route through the reader's shard-aware
     :meth:`~repro.data.corpus.reader.CorpusReaderBase.batches_for_epoch`;
     in-RAM pools use a global permutation.
     """

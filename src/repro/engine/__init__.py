@@ -5,7 +5,8 @@ fine-tuning and every self-supervised baseline, so cross-cutting training
 capabilities are implemented exactly once as callbacks:
 
 * :class:`TrainLoop` — the objective contract: ``make_batches(rng, epoch)``
-  + ``batch_loss(batch)`` plus checkpointing introspection.
+  or a step-keyed produce stage, + ``batch_loss(batch)`` plus checkpointing
+  introspection.
 * :class:`TrainState` — epoch/step counters, history and RNG snapshots.
 * :class:`Callback` — the event protocol (``on_fit_start`` /
   ``on_epoch_start`` / ``on_batch_end`` / ``on_backward_end`` /
@@ -22,11 +23,11 @@ capabilities are implemented exactly once as callbacks:
   spawn-safe :class:`GradientWorkerPool` with shared-memory parameter
   broadcast and fixed-order gradient reduction (``n_workers=1`` stays the
   bit-exact sequential path) — and pipelined batch producers:
-  ``Trainer(..., n_producers=N)`` renders + augments ahead of the gradient
-  step through a :class:`ProducerPool` publishing into a bounded
-  shared-memory :class:`RingArena`, with per-batch streams keyed by
-  :func:`derive_step_seed` so the curve is bit-identical at any producer
-  count (``n_producers=0`` stays the bit-exact synchronous path).
+  ``Trainer(..., n_producers=N)`` runs a loop's produce stage (render +
+  augment) ahead of the gradient step through a :class:`ProducerPool`
+  publishing into a bounded shared-memory :class:`RingArena`, with per-batch
+  streams keyed by :func:`derive_step_seed` so the curve is bit-identical at
+  any producer count (``n_producers=0`` produces inline on the parent).
 
 A custom training capability is one small class::
 
@@ -60,7 +61,6 @@ from repro.engine.parallel import (
     RingArena,
     WorkerError,
     derive_step_seed,
-    derive_worker_seed,
     derive_worker_step_seed,
 )
 from repro.engine.state import DtypePolicy, TrainState, get_rng_state, set_rng_state
@@ -74,7 +74,6 @@ __all__ = [
     "RestartPolicy",
     "RingArena",
     "WorkerError",
-    "derive_worker_seed",
     "derive_step_seed",
     "derive_worker_step_seed",
     "shard_arrays",

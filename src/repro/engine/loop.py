@@ -2,9 +2,10 @@
 
 A loop owns *what* is trained (modules, batches, the loss); the
 :class:`~repro.engine.trainer.Trainer` owns *how* (epochs, optimizer steps,
-gradient accumulation, callbacks, checkpoints).  A loop implements two
-methods — ``make_batches(rng, epoch)`` and ``batch_loss(batch)`` — plus the
-introspection hooks the trainer needs for checkpointing.
+gradient accumulation, callbacks, checkpoints).  A loop supplies its batches
+— ``make_batches(rng, epoch)`` or a produce stage — plus one
+``batch_loss(batch)`` and the introspection hooks the trainer needs for
+checkpointing.
 """
 
 from __future__ import annotations
@@ -20,16 +21,25 @@ from repro.nn.tensor import Tensor
 class TrainLoop:
     """Base class / contract for one trainable objective.
 
-    Subclasses implement:
+    Subclasses supply batches in one of two ways, plus one loss:
 
     ``make_batches(rng, epoch)``
         Yield the epoch's mini-batches in order.  Any shuffling must draw
         from ``rng`` (or from a generator that *shares* it), so the trainer
         can snapshot and restore the stream for bit-identical resume.
+    a produce stage
+        :meth:`producer_factory` and :meth:`pipeline_batches`.  ``produce``
+        is the parameter-free part of a step (views, renders, random
+        coefficients) and derives every stream from ``derive_step_seed(seed,
+        epoch, step)``, so running it on the parent (``n_producers=0``) or in
+        any number of producer processes gives bit-identical losses.  A loop
+        whose :meth:`producer_factory` is not ``None`` always trains this way.
     ``batch_loss(batch)``
         Return the scalar loss :class:`~repro.nn.tensor.Tensor` for one
-        batch, or a dict whose ``"loss"`` entry is that tensor; extra dict
-        entries (tensors or floats) are logged as additional metrics.
+        (made or produced) batch, or a dict whose ``"loss"`` entry is that
+        tensor; extra dict entries (tensors or floats) are logged as
+        additional metrics.  A produced batch may hold zero-copy views into
+        the producer ring, valid for this step only.
 
     and the checkpointing hooks:
 
@@ -38,26 +48,16 @@ class TrainLoop:
         the optimizer trains (names become checkpoint key prefixes).
     ``named_rngs()``
         Stable name → :class:`numpy.random.Generator` mapping of every RNG
-        stream the loop consumes (batch shuffling, augmentations, mixup,
+        stream a training step draws from (batch shuffling, augmentations,
         dropout); all are snapshotted into checkpoints and restored by
-        :meth:`~repro.engine.trainer.Trainer.resume`.
+        :meth:`~repro.engine.trainer.Trainer.resume`.  Step-keyed streams
+        need none.
 
     Loops that support sharded data-parallel training (``Trainer(...,
     n_workers=N)``) additionally provide ``worker_factory`` — a picklable
     ``factory(worker_index, n_workers)`` that rebuilds a replica with
     ``parameters()`` / ``batch_loss()`` / ``named_modules()`` inside a spawn
     worker — and may tune :attr:`shard_min_samples` / :meth:`shard_batch`.
-
-    Loops that support pipelined pre-training (``Trainer(..., n_producers=N)``)
-    provide the producer hooks: :meth:`producer_factory` (a picklable
-    ``factory(producer_index)`` building an object with ``produce(epoch,
-    step, payload)``), :meth:`pipeline_batches` (the *stateless* per-epoch
-    payload schedule, keyed by ``SeedSequence([seed, epoch])`` so producers
-    never consume shared iterator state) and :meth:`consume_batch` (the loss
-    on a produced batch).  The contract: ``produce`` derives every stochastic
-    stream from ``derive_step_seed(seed, epoch, step)``, so running the same
-    schedule inline, or through any number of producer processes, yields
-    bit-identical losses.
     """
 
     #: smallest shard :meth:`shard_batch` will produce (contrastive
@@ -106,10 +106,12 @@ class TrainLoop:
 
     # ---------------------------------------------------------------- pipeline
     def producer_factory(self):
-        """Picklable ``factory(producer_index)`` building a batch producer.
+        """Picklable ``factory(producer_index)`` building a batch producer,
+        an object with ``produce(epoch, step, payload)``.
 
-        Returns ``None`` (the default) when the loop does not support
-        pipelined training; the trainer then rejects ``n_producers >= 1``.
+        Returns ``None`` (the default) when the loop has no produce stage:
+        it trains on :meth:`make_batches` and the trainer rejects
+        ``n_producers >= 1``.
         """
         return None
 
@@ -122,14 +124,6 @@ class TrainLoop:
         """
         raise NotImplementedError
 
-    def consume_batch(self, produced):
-        """Loss for one produced batch (defaults to :meth:`batch_loss`).
-
-        ``produced`` may hold zero-copy views into the producer ring; they
-        are valid for the duration of this step only.
-        """
-        return self.batch_loss(produced)
-
     def pipeline_slot_nbytes(self) -> int:
         """Estimated bytes of one produced batch (ring slot sizing hint).
 
@@ -137,10 +131,6 @@ class TrainLoop:
         work via the pickle fallback, just slower.
         """
         return 0
-
-    def pipeline_seed(self):
-        """The base seed of the step-keyed pipeline streams (checkpoint metadata)."""
-        return None
 
 
 def shard_arrays(batch, n_shards: int, *, min_samples: int = 1) -> list[tuple]:

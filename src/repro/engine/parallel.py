@@ -7,11 +7,11 @@ builds one replica of the training loop's modules (via the loop's picklable
 
 1. the parent packs the current parameters into a shared-memory buffer
    (one contiguous block per dtype — see :class:`repro.nn.flat.FlatLayout`);
-2. the parent writes worker ``w``'s shard into slot ``w`` of a
-   :class:`RingArena` (the same shared-memory ring the pipelined producers
-   publish into, so cached render-cache images are never pickled per
-   batch); each worker copies its shard out of the slot, refreshes its
-   replica's parameters from the shared buffer, computes ``batch_loss`` and
+2. the parent writes worker ``w``'s shard of the step's batch (made, or
+   produced on the parent) into slot ``w`` of a :class:`RingArena` (the
+   same shared-memory ring the pipelined producers publish into); each
+   worker copies its shard out of the slot, refreshes its replica's
+   parameters from the shared buffer, computes ``batch_loss`` and
    backpropagates;
 3. each worker packs its gradients into its own shared segment, and the
    parent reduces them in **fixed ascending worker order** with per-shard
@@ -20,12 +20,19 @@ builds one replica of the training loop's modules (via the loop's picklable
 Determinism contract
 --------------------
 * ``n_workers=1`` never reaches this module: the trainer runs the plain
-  sequential path, bit-identical to earlier PRs.
+  sequential path.
 * Multi-worker runs are deterministic *at a fixed worker count*: shards are
-  contiguous in-order splits, every worker's stochastic components draw from
-  per-shard streams derived as ``SeedSequence([seed, worker_index,
-  n_workers])``, and the gradient reduction order is fixed — a float64 run
-  repeated with the same ``n_workers`` reproduces its loss curve exactly.
+  contiguous in-order splits, the gradient reduction order is fixed, and
+  every random draw of a step is keyed by the step.  Loops with a produce
+  stage draw on the parent (:func:`derive_step_seed`) and their workers only
+  compute the loss; a replica whose loss itself draws re-keys its streams
+  per ``(seed, shard, worker count, epoch, step)``
+  (:func:`derive_worker_step_seed`) before every step.  A float64 run
+  repeated — or resumed — with the same ``n_workers`` reproduces its loss
+  curve exactly.
+* Workers start every fit from the parent's module buffers (BN running
+  stats, :meth:`GradientWorkerPool.push_module_buffers`) and the parent
+  adopts worker 0's at every epoch end.
 * Contrastive objectives see per-shard negatives (as in standard data-
   parallel contrastive training), so a 2-worker curve is not the 1-worker
   curve — only reproducible against itself.
@@ -129,11 +136,6 @@ class RestartPolicy:
         delay = self.delay_s(restart_index)
         self.sleep(delay)
         return delay
-
-
-def derive_worker_seed(seed: int, worker_index: int, n_workers: int) -> np.random.SeedSequence:
-    """The per-shard RNG root: deterministic in (seed, shard, worker count)."""
-    return np.random.SeedSequence([int(seed), int(worker_index), int(n_workers)])
 
 
 def derive_worker_step_seed(
@@ -420,6 +422,17 @@ def _module_buffer_state(named_modules: dict) -> dict[str, np.ndarray]:
     return state
 
 
+def _apply_named_buffers(named_modules: dict, state: dict[str, np.ndarray]) -> None:
+    """Apply a :func:`_module_buffer_state` snapshot to same-named modules."""
+    for name, module in named_modules.items():
+        prefix = f"{name}."
+        updates = {
+            key[len(prefix) :]: value for key, value in state.items() if key.startswith(prefix)
+        }
+        if updates:
+            _apply_module_buffers(module, updates)
+
+
 def _apply_module_buffers(module, updates: dict[str, np.ndarray], prefix: str = "") -> None:
     """Set only the buffer entries of ``updates`` on ``module``, recursively.
 
@@ -482,12 +495,11 @@ def _worker_main(
                 if version != seen_version:  # params only move on optimizer steps
                     layout.unpack_data(param_block.arrays)
                     seen_version = version
-                if step_key is not None:
-                    # step-keyed streams (not stream history) — a respawned
-                    # worker replays this step bit-identically
-                    reseed = getattr(replica, "reseed_for_step", None)
-                    if reseed is not None:
-                        reseed(int(step_key[0]), int(step_key[1]))
+                # step-keyed streams (not stream history) — a respawned
+                # worker replays this step bit-identically
+                reseed = getattr(replica, "reseed_for_step", None)
+                if reseed is not None:
+                    reseed(int(step_key[0]), int(step_key[1]))
                 batch = _decode_batch(encoded, ring._shm.buf)
                 for param in layout.parameters:
                     param.grad = None
@@ -508,6 +520,9 @@ def _worker_main(
                 result_queue.put(
                     (worker_index, "buffers", _module_buffer_state(replica.named_modules()))
                 )
+            elif kind == "push_buffers":
+                _apply_named_buffers(replica.named_modules(), message[1])
+                result_queue.put((worker_index, "pushed", None))
     except Exception:  # pragma: no cover - exercised via WorkerError tests
         result_queue.put((worker_index, "error", traceback.format_exc()))
     finally:
@@ -741,7 +756,7 @@ class GradientWorkerPool:
 
     # --------------------------------------------------------------------- step
     def step(
-        self, shards, *, accumulate: bool = False, step_key: tuple[int, int] | None = None
+        self, shards, *, step_key: tuple[int, int], accumulate: bool = False
     ) -> dict[str, float]:
         """Run one sharded forward/backward; deposit gradients on the parent.
 
@@ -752,8 +767,8 @@ class GradientWorkerPool:
         ``optimizer.step()`` exactly like a sequential backward.
 
         ``step_key`` is the ``(epoch, step)`` schedule position: replicas
-        exposing ``reseed_for_step`` re-derive their streams from it each
-        step (:func:`derive_worker_step_seed`), which is what makes a
+        exposing ``reseed_for_step`` re-derive their streams from it before
+        the loss (:func:`derive_worker_step_seed`), which is what makes a
         respawn-and-replay under a :class:`RestartPolicy` bit-identical.
         """
         if self._closed:
@@ -801,6 +816,20 @@ class GradientWorkerPool:
         return logs
 
     # ------------------------------------------------------------------ buffers
+    def push_module_buffers(self, named_modules: dict) -> None:
+        """Send the parent's non-parameter module state to every worker.
+
+        The counterpart of :meth:`sync_module_buffers`: a fit that resumes a
+        checkpoint (or runs on reloaded weights) starts every replica's BN
+        running statistics from the parent's instead of from initialisation.
+        """
+        if self._closed or self._broken:
+            return
+        state = _module_buffer_state(named_modules)
+        for queue in self._command_queues:
+            queue.put(("push_buffers", state))
+        self._collect({index: "pushed" for index in range(self.n_workers)})
+
     def sync_module_buffers(self, named_modules: dict) -> None:
         """Pull non-parameter module state (BN running stats) from worker 0.
 
@@ -813,16 +842,7 @@ class GradientWorkerPool:
         if self._closed or self._broken:
             return
         self._command_queues[0].put(("buffers",))
-        payload = self._collect({0: "buffers"})[0]
-        for name, module in named_modules.items():
-            prefix = f"{name}."
-            updates = {
-                key[len(prefix) :]: value
-                for key, value in payload.items()
-                if key.startswith(prefix)
-            }
-            if updates:
-                _apply_module_buffers(module, updates)
+        _apply_named_buffers(named_modules, self._collect({0: "buffers"})[0])
 
     # -------------------------------------------------------------------- close
     def close(self) -> None:
@@ -927,7 +947,7 @@ class ProducerPool:
         on the producer count — that is what makes :meth:`resize` curve-safe.
     n_producers:
         Producer process count (>= 1; ``0`` never reaches this class — the
-        trainer runs the classic synchronous path).
+        trainer then produces inline on the parent).
     prefetch_depth:
         Ring slots, i.e. the maximum number of in-flight produced batches
         (>= 2, double-buffered minimum).

@@ -8,11 +8,12 @@ accumulation, callback events, and resumable checkpoints through the same
 bundle format estimators persist with (:mod:`repro.api.bundle`).
 
 Bit-exact guarantees: with no accumulation/clipping callbacks the batch
-schedule is ``zero_grad → batch_loss → backward → step`` per batch, exactly
-the seed loops' order, and the loop's RNG streams are only consumed by the
-loop itself — so migrated loops reproduce their seed loss curves to the last
-bit, and :meth:`Trainer.resume` continues a killed run as if it had never
-stopped.
+schedule is ``zero_grad → batch_loss → backward → step`` per batch, and every
+random draw of a step comes either from the loop's own streams (loops that
+make their batches; checkpoints snapshot them) or from the step key
+``(seed, epoch, step)`` (loops with a produce stage) — so a float64 curve is
+reproducible to the last bit, and :meth:`Trainer.resume` continues a killed
+run as if it had never stopped.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ class Trainer:
         configured once here instead of per loop.
     n_workers:
         Sharded data-parallel training: with ``n_workers >= 2`` every batch
-        is split by ``loop.shard_batch`` across a persistent
+        (made, or produced on the parent) is split by ``loop.shard_batch``
+        across a persistent
         :class:`~repro.engine.parallel.GradientWorkerPool` (the loop must
-        provide a ``worker_factory``); gradients are reduced in fixed worker
-        order before each optimizer step.  ``n_workers=1`` (default) is the
-        sequential path, bit-identical to previous releases.
+        provide a ``worker_factory``), whose workers only compute the loss;
+        gradients are reduced in fixed worker order before each optimizer
+        step.  ``n_workers=1`` (default) is the sequential path.
     worker_pool:
         An already-running :class:`~repro.engine.parallel.GradientWorkerPool`
         to borrow instead of spawning one per ``fit`` — estimators keep one
@@ -85,22 +87,18 @@ class Trainer:
         (and closes) a borrowed pool; a trainer-spawned one is closed when
         ``fit`` returns.
     n_producers:
-        Pipelined pre-training: with ``n_producers >= 1`` every epoch runs
-        the loop's *stateless* pipeline schedule, producing batches (render +
-        augment) in producer processes ahead of the gradient step through a
-        bounded shared-memory ring (see
+        Where the loop's produce stage runs (loops without one reject
+        ``n_producers >= 1``): ``0`` (default) produces inline on the parent,
+        ``n_producers >= 1`` in producer processes ahead of the gradient step
+        through a bounded shared-memory ring (see
         :class:`~repro.engine.parallel.ProducerPool`).  Per-batch streams are
         keyed by ``derive_step_seed(seed, epoch, step)``, so the loss curve
-        is bit-identical at any producer count — and ``prefetch_depth=0``
-        runs the identical schedule inline (no processes), the sequential
-        reference the pipelined runs are asserted against.  ``n_producers=0``
-        (default) is the classic synchronous path, bit-exact with earlier
-        releases.  Mutually exclusive with ``n_workers >= 2``.  The count can
-        be changed between epochs (``trainer.n_producers = k`` from a
-        callback): the pool grows/shrinks without touching the curve.
+        is bit-identical at any producer count — including a count changed
+        between epochs (``trainer.n_producers = k`` from a callback) or
+        across a resume.  Mutually exclusive with ``n_workers >= 2``.
     prefetch_depth:
         Ring slots, i.e. the produce-ahead bound (>= 2, double-buffered
-        minimum; ``0`` = inline synchronous reference mode).
+        minimum).
     producer_pool:
         An already-running :class:`~repro.engine.parallel.ProducerPool` to
         borrow instead of spawning one per ``fit`` (estimators keep one alive
@@ -109,8 +107,8 @@ class Trainer:
         Optional :class:`~repro.engine.parallel.RestartPolicy` passed to
         trainer-spawned pools: crashed producers/workers are respawned and
         their steps replayed bit-identically (step-keyed streams).  When the
-        restart budget runs out, a pipelined fit *degrades* to the inline
-        sequential path with a ``RuntimeWarning`` (recorded in
+        restart budget runs out, a pipelined fit *degrades* to producing
+        inline on the parent with a ``RuntimeWarning`` (recorded in
         ``degradation_events``) instead of raising — the curve is unchanged,
         only the prefetch is lost.  ``None`` keeps fail-fast semantics.
     step_arena:
@@ -157,10 +155,9 @@ class Trainer:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if n_producers < 0:
             raise ValueError(f"n_producers must be >= 0, got {n_producers}")
-        if prefetch_depth != 0 and prefetch_depth < 2:
+        if prefetch_depth < 2:
             raise ValueError(
-                f"prefetch_depth must be 0 (inline) or >= 2 (double-buffered), "
-                f"got {prefetch_depth}"
+                f"prefetch_depth must be >= 2 (double-buffered), got {prefetch_depth}"
             )
         if producer_pool is not None:
             n_producers = producer_pool.n_producers
@@ -309,43 +306,38 @@ class Trainer:
             step_arena=self.step_arena is not None,
         )
 
-    def _make_producer_pool(self):
-        """Spin up the batch-producer pool for pipelined (``n_producers >= 1``) runs."""
+    def _fit(self, epochs: int) -> History:
+        import functools
+
         from repro.engine.parallel import ProducerPool
 
-        return ProducerPool(
-            self._producer_factory(),
-            n_producers=self.n_producers,
-            prefetch_depth=self.prefetch_depth,
-            compute_dtype=self.dtype_policy.compute_dtype,
-            restart_policy=self.restart_policy,
-        )
-
-    def _producer_factory(self):
         factory = self.loop.producer_factory()
-        if factory is None:
+        if factory is None and self.n_producers >= 1:
             raise ValueError(
                 f"{type(self.loop).__name__} does not support pipelined training "
                 "(producer_factory() returned None); use n_producers=0"
             )
-        return factory
-
-    def _fit(self, epochs: int) -> History:
         own_producers = None
         producers = self.producer_pool
-        if self.n_producers >= 1 and producers is None:
-            if self.prefetch_depth == 0:
-                # inline sequential reference: the identical schedule and
-                # step-keyed streams, executed synchronously on the parent
-                self._inline_producer = self._producer_factory()(0)
-            else:
-                producers = own_producers = self._make_producer_pool()
+        if factory is not None and self.n_producers >= 1 and producers is None:
+            producers = own_producers = ProducerPool(
+                factory,
+                n_producers=self.n_producers,
+                prefetch_depth=self.prefetch_depth,
+                compute_dtype=self.dtype_policy.compute_dtype,
+                restart_policy=self.restart_policy,
+            )
+        batches_for = (
+            functools.partial(self.loop.make_batches, self.rng)
+            if factory is None
+            else functools.partial(self._produced_batches, producers=producers)
+        )
         try:
             if self.worker_pool is not None:  # borrowed: the owner closes it
-                return self._fit_epochs(int(epochs), self.worker_pool, producers)
+                return self._fit_epochs(int(epochs), self.worker_pool, batches_for)
             pool = self._make_worker_pool() if self.n_workers > 1 else None
             try:
-                return self._fit_epochs(int(epochs), pool, producers)
+                return self._fit_epochs(int(epochs), pool, batches_for)
             finally:
                 if pool is not None:
                     pool.close()
@@ -356,14 +348,14 @@ class Trainer:
     def _inline_epoch_batches(self, epoch: int, payloads, *, start_step: int = 0):
         """Produce ``payloads`` synchronously on the parent, step-keyed.
 
-        Used for the ``prefetch_depth=0`` sequential reference *and* as the
-        degradation target when a producer pool exhausts its restart budget
-        — the step keying makes both bit-identical to the pipelined run.
+        The ``n_producers=0`` path *and* the degradation target when a
+        producer pool exhausts its restart budget — the step keying makes
+        both bit-identical to producing in processes.
         """
         import time as time_module
 
         if self._inline_producer is None:
-            self._inline_producer = self._producer_factory()(0)
+            self._inline_producer = self.loop.producer_factory()(0)
         stats = {"steps": 0, "produce_seconds": 0.0, "stall_seconds": 0.0,
                  "oversize_arrays": 0, "restarts": 0, "replayed_steps": 0,
                  "n_producers": 0.0, "prefetch_depth": 0.0}
@@ -398,13 +390,12 @@ class Trainer:
             stacklevel=2,
         )
 
-    def _pipeline_epoch_batches(self, epoch: int, producers):
-        """Produced batches of one pipelined epoch, in schedule order."""
+    def _produced_batches(self, epoch: int, producers):
+        """Produced batches of one epoch, in schedule order."""
         from repro.engine.parallel import WorkerError
 
         payloads = self.loop.pipeline_batches(epoch)
         if producers is None or self._degraded:
-            # inline sequential reference (prefetch_depth=0) or degraded mode
             yield from self._inline_epoch_batches(epoch, payloads)
             return
         if producers.n_producers != self.n_producers:
@@ -474,22 +465,21 @@ class Trainer:
             return {}
         return self.step_arena.stats()
 
-    def _fit_epochs(self, epochs: int, pool, producers=None) -> History:
+    def _fit_epochs(self, epochs: int, pool, batches_for) -> History:
         accumulation = next(
             (cb.steps for cb in self.callbacks if isinstance(cb, GradAccumulation)), 1
         )
         self.target_epochs = int(epochs)
         self.state.stop_training = False
         self.state.stop_reason = None
+        if pool is not None:
+            # BN running stats advance inside the workers only: start them
+            # from the parent's (restored or reloaded) ones
+            pool.push_module_buffers(self.loop.named_modules())
         self._emit("on_fit_start")
         for epoch in range(self.state.epoch, int(epochs)):
             self._emit("on_epoch_start", epoch)
-            if self.n_producers >= 1:
-                batches = self._pipeline_epoch_batches(epoch, producers)
-                loss_fn = self.loop.consume_batch
-            else:
-                batches = self.loop.make_batches(self.rng, epoch)
-                loss_fn = self.loop.batch_loss
+            batches = batches_for(epoch)
             totals: dict[str, float] = {}
             n_batches = 0
             micro = 0
@@ -515,7 +505,7 @@ class Trainer:
                         )
                 else:
                     with profiled_phase("forward"):
-                        losses = self._normalize_losses(loss_fn(batch))
+                        losses = self._normalize_losses(self.loop.batch_loss(batch))
                     with profiled_phase("backward"):
                         losses["loss"].backward()
                     logs = {
@@ -545,9 +535,9 @@ class Trainer:
                 # abort, the caller) observe the modules
                 pool.sync_module_buffers(self.loop.named_modules())
             if aborted:
-                if self.n_producers >= 1:
-                    # close the produced-batch generator now (not at GC) so
-                    # in-flight ring slots drain before anything else runs
+                if hasattr(batches, "close"):
+                    # close the batch generator now (not at GC) so in-flight
+                    # ring slots drain before anything else runs
                     batches.close()
                 break
             if micro > 0:  # leftover partial accumulation window still steps
@@ -608,18 +598,6 @@ class Trainer:
                 name: get_rng_state(generator)
                 for name, generator in self.loop.named_rngs().items()
             },
-            # the pipeline cursor: epoch/step live in train_state; recording
-            # the mode + seed keying here lets resume re-arm the *same* batch
-            # schedule and per-step producer streams (SeedSequence([seed,
-            # epoch, step]) needs nothing else to replay bit-identically)
-            "pipeline": None
-            if self.n_producers == 0
-            else {
-                "n_producers": self.n_producers,
-                "prefetch_depth": self.prefetch_depth,
-                "seed": self.loop.pipeline_seed(),
-                "seed_keying": "SeedSequence([seed, epoch, step])",
-            },
         }
         return save_bundle(path, arrays, manifest)
 
@@ -627,22 +605,6 @@ class Trainer:
         """Restore trainer + loop state from a checkpoint written by
         :meth:`save_checkpoint` (without continuing training)."""
         from repro.api.bundle import BundleFormatError, load_bundle, sub_state
-
-        if self.n_workers > 1:
-            import warnings
-
-            # checkpoints snapshot the parent-side streams only; worker
-            # replicas restart their derived streams from position zero, so
-            # a sharded resume is deterministic but NOT bit-identical to the
-            # uninterrupted run (sequential resume keeps the full guarantee)
-            warnings.warn(
-                "resuming a sharded run (n_workers > 1): worker RNG streams "
-                "restart from their derived seeds, so the continued run is "
-                "not bit-identical to an uninterrupted one; resume with "
-                "n_workers=1 for the bit-exact guarantee",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
         arrays, manifest = load_bundle(path)
         if manifest.get("kind") != CHECKPOINT_KIND:
@@ -672,18 +634,6 @@ class Trainer:
                 set_rng_state(rngs[name], stored)
         self.history.load(manifest.get("history") or {})
         self.state.restore_progress(manifest["train_state"])
-        # the checkpoint's pipeline mode wins: pipelined and sequential paths
-        # key their per-batch RNG streams differently, so resuming in the
-        # other mode would silently break the bit-identical-resume guarantee.
-        # The producer *count* itself is curve-free — restoring it (and the
-        # prefetch depth) just reproduces the recorded configuration.
-        pipeline = manifest.get("pipeline")
-        if pipeline is None:
-            self.n_producers = 0
-        elif self.n_workers == 1:  # sharded trainers keep their (warned) path
-            self.n_producers = int(pipeline["n_producers"])
-            if self.producer_pool is None:
-                self.prefetch_depth = int(pipeline["prefetch_depth"])
         return self.state
 
     def resume(self, path, *, epochs: int | None = None) -> History:

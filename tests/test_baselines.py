@@ -46,17 +46,23 @@ class TestBaselineConfig:
             BaselineConfig(learning_rate=0.0)
 
 
+def _loss_input(baseline, batch):
+    """``batch`` as the loss receives it: produced first when there is a
+    produce stage."""
+    return baseline.pipeline_produce(batch) if baseline.supports_pipeline else batch
+
+
 @pytest.mark.parametrize("baseline_cls", CONTRASTIVE_BASELINES + FOUNDATION_BASELINES)
 class TestSelfSupervisedBaselines:
     def test_batch_loss_is_finite_scalar(self, baseline_cls, baseline_config, small_dataset):
         baseline = baseline_cls(baseline_config)
-        loss = baseline.batch_loss(small_dataset.train.X[:6])
+        loss = baseline.batch_loss(_loss_input(baseline, small_dataset.train.X[:6]))
         assert loss.size == 1
         assert np.isfinite(loss.item())
 
     def test_batch_loss_differentiable(self, baseline_cls, baseline_config, small_dataset):
         baseline = baseline_cls(baseline_config)
-        baseline.batch_loss(small_dataset.train.X[:6]).backward()
+        baseline.batch_loss(_loss_input(baseline, small_dataset.train.X[:6])).backward()
         assert any(p.grad is not None for p in baseline.encoder.parameters())
 
     def test_pretrain_returns_loss_curve(self, baseline_cls, baseline_config, small_dataset):

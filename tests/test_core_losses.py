@@ -13,7 +13,7 @@ from repro.core.losses import (
     series_image_mixup_loss,
     series_image_naive_loss,
 )
-from repro.core.mixup import geodesic_mixup
+from repro.core.mixup import geodesic_mixup, sample_mixup_coefficients
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
@@ -145,7 +145,8 @@ class TestSeriesImageLosses:
         series = Tensor(_unit(rng, 4, 8))
         image = Tensor(_unit(rng, 4, 8))
         for mode in ("geodesic", "linear", "none"):
-            loss = series_image_loss(series, image, mixup_mode=mode, rng=0)
+            lam = sample_mixup_coefficients(4, seed=0)
+            loss = series_image_loss(series, image, mixup_mode=mode, lam=lam)
             assert np.isfinite(loss.item())
         with pytest.raises(ValueError):
             series_image_loss(series, image, mixup_mode="bogus")
@@ -153,7 +154,8 @@ class TestSeriesImageLosses:
     def test_combined_loss_beta_one_equals_naive(self, rng):
         series = Tensor(_unit(rng, 4, 8))
         image = Tensor(_unit(rng, 4, 8))
-        combined = series_image_loss(series, image, beta=1.0, mixup_mode="geodesic", rng=0).item()
+        lam = sample_mixup_coefficients(4, seed=0)
+        combined = series_image_loss(series, image, beta=1.0, mixup_mode="geodesic", lam=lam).item()
         naive = series_image_naive_loss(series, image).item()
         assert combined == pytest.approx(naive, rel=1e-9)
 

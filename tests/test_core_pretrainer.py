@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import AimTSConfig
-from repro.core.pretrainer import AimTSPretrainer, build_augmentation_bank
+from repro.core.pretrainer import AimTSPretrainer, _PretrainLoop, build_augmentation_bank
 from repro.data import load_pretraining_corpus
 from repro.utils.seeding import new_rng
 
@@ -25,6 +25,12 @@ def _tiny_config(**overrides):
     )
     base.update(overrides)
     return AimTSConfig(**base)
+
+
+def _produced(pretrainer, series):
+    """The produced batch for ``series`` at step (0, 0) — the loss's input."""
+    producer = _PretrainLoop(pretrainer).producer_factory()(0)
+    return producer.produce(0, 0, (np.arange(len(series)), series))
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +56,19 @@ class TestBuildAugmentationBank:
 class TestComputeBatchLoss:
     def test_all_components_present(self, tiny_pool):
         pretrainer = AimTSPretrainer(_tiny_config())
-        losses = pretrainer.compute_batch_loss(tiny_pool[:6])
+        losses = pretrainer.compute_batch_loss(*_produced(pretrainer, tiny_pool[:6]))
         assert set(losses) == {"prototype", "series_image", "total"}
         assert np.isfinite(losses["total"].item())
 
     def test_prototype_only(self, tiny_pool):
         pretrainer = AimTSPretrainer(_tiny_config(use_series_image_loss=False))
-        losses = pretrainer.compute_batch_loss(tiny_pool[:6])
+        losses = pretrainer.compute_batch_loss(*_produced(pretrainer, tiny_pool[:6]))
         assert "series_image" not in losses
         assert losses["total"].item() == pytest.approx(losses["prototype"].item())
 
     def test_series_image_only(self, tiny_pool):
         pretrainer = AimTSPretrainer(_tiny_config(use_prototype_loss=False))
-        losses = pretrainer.compute_batch_loss(tiny_pool[:6])
+        losses = pretrainer.compute_batch_loss(*_produced(pretrainer, tiny_pool[:6]))
         assert "prototype" not in losses
 
     def test_both_disabled_raises(self, tiny_pool):
@@ -70,11 +76,11 @@ class TestComputeBatchLoss:
             _tiny_config(use_prototype_loss=False, use_series_image_loss=False)
         )
         with pytest.raises(RuntimeError):
-            pretrainer.compute_batch_loss(tiny_pool[:6])
+            pretrainer.compute_batch_loss(*_produced(pretrainer, tiny_pool[:6]))
 
     def test_total_loss_differentiable_end_to_end(self, tiny_pool):
         pretrainer = AimTSPretrainer(_tiny_config())
-        losses = pretrainer.compute_batch_loss(tiny_pool[:6])
+        losses = pretrainer.compute_batch_loss(*_produced(pretrainer, tiny_pool[:6]))
         losses["total"].backward()
         grads = [p.grad for p in pretrainer.ts_encoder.parameters()]
         assert all(g is not None for g in grads)
@@ -125,5 +131,5 @@ class TestFit:
             {"use_intra_loss": False},
         ):
             pretrainer = AimTSPretrainer(_tiny_config(**overrides))
-            losses = pretrainer.compute_batch_loss(tiny_pool[:6])
+            losses = pretrainer.compute_batch_loss(*_produced(pretrainer, tiny_pool[:6]))
             assert np.isfinite(losses["total"].item())

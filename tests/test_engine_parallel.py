@@ -22,7 +22,6 @@ from repro.engine.parallel import (
     WorkerError,
     _decode_batch,
     _encode_batch,
-    derive_worker_seed,
 )
 from repro.nn import Adam, Linear, Tensor
 from repro.nn.flat import FlatLayout
@@ -39,6 +38,9 @@ TINY = dict(
     epochs=1,
     seed=0,
 )
+
+
+BASELINE_TINY = {k: v for k, v in TINY.items() if k != "panel_size"}
 
 
 def tiny_pool(n=16, seed=0):
@@ -189,17 +191,6 @@ class TestBatchTransport:
             ring.close(unlink=True)
 
 
-def test_derive_worker_seed_is_stable_and_distinct():
-    streams = {
-        (w, n): np.random.default_rng(derive_worker_seed(3407, w, n)).integers(0, 2**31)
-        for w in range(3)
-        for n in (2, 3)
-    }
-    assert len(set(streams.values())) == len(streams)
-    again = np.random.default_rng(derive_worker_seed(3407, 0, 2)).integers(0, 2**31)
-    assert again == streams[(0, 2)]
-
-
 # --------------------------------------------------------------------------- #
 # worker pool smoke tests (spawn-safe, tiny models — tier-1)
 # --------------------------------------------------------------------------- #
@@ -265,10 +256,16 @@ class TestWorkerRing:
         from repro.core.pretrainer import _PretrainLoop
 
         pretrainer = AimTSPretrainer(AimTSConfig(**TINY))
-        loop = _PretrainLoop(pretrainer, pool=None, use_cache=False)
+        loop = _PretrainLoop(pretrainer)
+        producer = loop.producer_factory()(0)
         parameters = list(pretrainer.parameters())
-        small = loop.shard_batch((tiny_pool(8, seed=1), None), 2)
-        large = loop.shard_batch((tiny_pool(64, seed=2), None), 2)
+
+        def produced_shards(n, seed):
+            batch = producer.produce(0, 0, (np.arange(n), tiny_pool(n, seed=seed)))
+            return loop.shard_batch(batch, 2)
+
+        small = produced_shards(8, seed=1)
+        large = produced_shards(64, seed=2)
 
         def make_pool():
             return GradientWorkerPool(loop.worker_factory(), parameters, n_workers=2)
@@ -327,10 +324,14 @@ class TestTrainerValidation:
             )
 
     def test_pool_requires_two_workers(self):
-        model = Linear(3, 2, rng=0)
+        from repro.core.pretrainer import _PretrainLoop
+
+        pretrainer = AimTSPretrainer(AimTSConfig(**TINY))
         with pytest.raises(ValueError, match="n_workers"):
             GradientWorkerPool(
-                derive_worker_seed, list(model.parameters()), n_workers=1
+                _PretrainLoop(pretrainer).worker_factory(),
+                list(pretrainer.parameters()),
+                n_workers=1,
             )
 
     def test_worker_error_surfaces_remote_traceback_and_breaks_pool(self):
@@ -340,26 +341,16 @@ class TestTrainerValidation:
         with pytest.raises(WorkerError, match="worker"):
             # a malformed shard (2-D series) makes the replica loss raise;
             # the pool must surface the remote traceback, not hang
-            pool.step([(np.zeros((4, TINY["series_length"])), 4)])
+            pool.step([(np.zeros((4, TINY["series_length"])), 4)], step_key=(0, 0))
         # stale in-flight replies could pair old gradients with a new batch,
         # so the pool refuses further steps after any worker error
         with pytest.raises(RuntimeError, match="broken"):
-            pool.step([(tiny_pool(4), 4)])
+            pool.step([(tiny_pool(4), 4)], step_key=(0, 1))
         pretrainer.shutdown_workers()
 
 
 class TestReviewRegressions:
     """Regression coverage for the PR 5 review findings."""
-
-    def test_parallel_resume_warns_about_worker_streams(self, tmp_path):
-        from repro.engine import Checkpointer
-
-        pretrainer = AimTSPretrainer(AimTSConfig(**TINY, n_workers=2))
-        path = tmp_path / "ckpt.npz"
-        pretrainer.fit(tiny_pool(), callbacks=[Checkpointer(path)])
-        with pytest.warns(RuntimeWarning, match="not bit-identical"):
-            pretrainer.fit(tiny_pool(), epochs=1, resume_from=path)
-        pretrainer.shutdown_workers()
 
     def test_sequential_resume_does_not_warn(self, tmp_path):
         import warnings
@@ -420,6 +411,105 @@ class TestReviewRegressions:
                 np.testing.assert_array_equal(value, 0.25)
             elif "num_batches" not in key:
                 np.testing.assert_array_equal(value, weights_before[key])
+
+
+def _module_states(named_modules) -> dict:
+    return {
+        f"{name}.{key}": value
+        for name, module in named_modules.items()
+        for key, value in module.state_dict().items()
+    }
+
+
+def _aimts_sharded_run(tmp_path, *, epochs, resume_from=None, checkpoint=False):
+    """A 2-worker TINY AimTS fit: (loss curves, every module state entry)."""
+    from repro.engine import Checkpointer
+
+    pretrainer = AimTSPretrainer(AimTSConfig(**TINY, n_workers=2))
+    callbacks = [Checkpointer(tmp_path / "aimts_ck")] if checkpoint else []
+    history = pretrainer.fit(
+        tiny_pool(), epochs=epochs, callbacks=callbacks, resume_from=resume_from
+    )
+    pretrainer.shutdown_workers()
+    curves = (history.total_loss, history.prototype_loss, history.series_image_loss)
+    return curves, _module_states(pretrainer.trainer.loop.named_modules())
+
+
+def _ts2vec_sharded_run(tmp_path, *, epochs, resume_from=None, checkpoint=False):
+    """A 2-worker TS2Vec fit through the trainer: (loss curve, module states)."""
+    from repro.baselines.base import _BaselinePretrainLoop
+    from repro.baselines.ts2vec import TS2Vec
+    from repro.data.loaders import z_normalize
+    from repro.engine import Checkpointer
+
+    baseline = TS2Vec(BaselineConfig(**BASELINE_TINY, n_workers=2))
+    loop = _BaselinePretrainLoop(baseline, z_normalize(tiny_pool()))
+    trainer = Trainer(
+        loop,
+        Adam(list(baseline.parameters()), lr=baseline.config.learning_rate),
+        rng=baseline._rng,
+        n_workers=2,
+        callbacks=[Checkpointer(tmp_path / "ts2vec_ck")] if checkpoint else [],
+    )
+    if resume_from is not None:
+        trainer.load_checkpoint(resume_from)
+    history = trainer.fit(epochs)
+    return history.curve("loss"), _module_states(loop.named_modules())
+
+
+class TestShardedResume:
+    """A 2-worker run resumed from a checkpoint is the uninterrupted run."""
+
+    @pytest.fixture(scope="class")
+    def aimts(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("sharded_resume")
+        uninterrupted = _aimts_sharded_run(tmp_path, epochs=2)
+        _aimts_sharded_run(tmp_path, epochs=1, checkpoint=True)
+        return tmp_path, uninterrupted
+
+    def test_sharded_resume_is_bit_identical(self, aimts, tmp_path):
+        import warnings
+
+        aimts_dir, (aimts_curves, aimts_states) = aimts
+        ts2vec_curve, ts2vec_states = _ts2vec_sharded_run(tmp_path, epochs=2)
+        _ts2vec_sharded_run(tmp_path, epochs=1, checkpoint=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            resumed = [
+                _aimts_sharded_run(aimts_dir, epochs=2, resume_from=aimts_dir / "aimts_ck"),
+                _ts2vec_sharded_run(tmp_path, epochs=2, resume_from=tmp_path / "ts2vec_ck"),
+            ]
+        for (curves, states), (reference_curves, reference_states) in zip(
+            resumed, [(aimts_curves, aimts_states), (ts2vec_curve, ts2vec_states)]
+        ):
+            assert curves == reference_curves
+            assert states.keys() == reference_states.keys()
+            for key, value in states.items():  # BN running stats included
+                np.testing.assert_array_equal(value, reference_states[key], err_msg=key)
+
+    def test_workers_start_from_restored_bn_running_stats(self, aimts, tmp_path):
+        from repro.api.bundle import load_bundle, save_bundle
+
+        aimts_dir, _ = aimts
+        arrays, manifest = load_bundle(aimts_dir / "aimts_ck")
+        doctored = {
+            key: value * 100.0 if key.endswith("running_var") else value
+            for key, value in arrays.items()
+        }
+        save_bundle(tmp_path / "doctored_ck", doctored, manifest)
+
+        _, as_written = _aimts_sharded_run(
+            aimts_dir, epochs=2, resume_from=aimts_dir / "aimts_ck"
+        )
+        _, from_doctored = _aimts_sharded_run(
+            tmp_path, epochs=2, resume_from=tmp_path / "doctored_ck"
+        )
+        running_vars = [key for key in as_written if key.endswith("running_var")]
+        assert running_vars
+        for key in running_vars:
+            # the parent adopts worker 0's running stats after the epoch; they
+            # continue from the checkpoint's, not from initialisation
+            assert not np.array_equal(from_doctored[key], as_written[key]), key
 
 
 # --------------------------------------------------------------------------- #

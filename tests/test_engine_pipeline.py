@@ -7,12 +7,12 @@ Three families of tests:
   (pickle) fallback of the bounded slot writer;
 * **ProducerPool behaviour** — stream ordering, crash propagation with the
   remote traceback, elastic resize, idempotent close;
-* **Bit-identity** — the central claim of the pipelined path: with per-step
+* **Bit-identity** — the central claim of the produce stage: with per-step
   streams keyed by ``SeedSequence([seed, epoch, step])``, the float64 loss
-  curve is *bit-identical* (``==`` on floats, no tolerance) between the
-  inline sequential reference (``prefetch_depth=0``) and producer processes
-  at any ``(n_producers, prefetch_depth)``, for AimTS and for a pipelined
-  SSL baseline (SimCLR).
+  curve is *bit-identical* (``==`` on floats, no tolerance) between producing
+  inline on the parent (``n_producers=0``) and producer processes at any
+  ``(n_producers, prefetch_depth)``, for AimTS and for a pipelined SSL
+  baseline (SimCLR).
 """
 
 from __future__ import annotations
@@ -299,8 +299,9 @@ class TestPipelineValidation:
             AimTSConfig(**TINY, n_producers=1, n_workers=2)
 
     def test_config_rejects_single_slot_prefetch(self):
-        with pytest.raises(ValueError, match="prefetch_depth"):
-            BaselineConfig(**BASELINE_TINY, n_producers=1, prefetch_depth=1)
+        for prefetch_depth in (0, 1):
+            with pytest.raises(ValueError, match="prefetch_depth"):
+                BaselineConfig(**BASELINE_TINY, n_producers=1, prefetch_depth=prefetch_depth)
 
     def test_trainer_rejects_producers_with_worker_pool(self):
         loop = _MiniLoop()
@@ -339,7 +340,7 @@ class _MiniLoop(TrainLoop):
 
 
 # --------------------------------------------------------------------------- #
-# bit-identity: inline sequential reference vs producer processes
+# bit-identity: producing on the parent vs in producer processes
 # --------------------------------------------------------------------------- #
 
 
@@ -352,11 +353,11 @@ def _aimts_losses(n_producers, prefetch_depth):
 
 
 class TestPipelinedBitIdentity:
-    """Float64 losses identical to the sequential reference, ``==`` exact."""
+    """Float64 losses identical to producing on the parent, ``==`` exact."""
 
     @pytest.fixture(scope="class")
     def aimts_reference(self):
-        return _aimts_losses(n_producers=1, prefetch_depth=0)
+        return _aimts_losses(n_producers=0, prefetch_depth=2)
 
     @pytest.mark.parametrize("n_producers", [1, 2])
     @pytest.mark.parametrize("prefetch_depth", [2, 4])
@@ -373,7 +374,7 @@ class TestPipelinedBitIdentity:
             baseline.shutdown_workers()
             return curve
 
-        reference = run(n_producers=1, prefetch_depth=0)
+        reference = run(n_producers=0)
         assert run(n_producers=n_producers, prefetch_depth=prefetch_depth) == reference
 
     def test_elastic_producers_mid_fit_keep_the_curve(self, aimts_reference):
@@ -391,6 +392,18 @@ class TestPipelinedBitIdentity:
             history.prototype_loss,
             history.series_image_loss,
         ) == aimts_reference
+
+    def test_profiler_reports_produce_phases(self):
+        # the parent's produce stage still reports its render and augment
+        # time as phases of its own, not folded into "fetch"
+        pretrainer = AimTSPretrainer(AimTSConfig(**TINY, n_producers=0))
+        pretrainer.profile = True
+        pretrainer.fit(tiny_pool())
+        history = pretrainer.trainer.history
+        for phase in ("render", "augment"):
+            curve = history.curve(f"profile_{phase}_seconds")
+            assert len(curve) == TINY["epochs"]
+            assert all(seconds > 0.0 for seconds in curve), phase
 
     def test_pipeline_stats_recorded_per_epoch(self):
         config = AimTSConfig(**TINY, n_producers=1, prefetch_depth=2)
