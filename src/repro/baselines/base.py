@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.api.estimator import FineTunedPredictorMixin
 from repro.core.config import FineTuneConfig
 from repro.core.finetuner import FineTuner, FineTuneResult
 from repro.data.dataset import TimeSeriesDataset
-from repro.data.loaders import BatchIterator, build_pretraining_pool, z_normalize
+from repro.data.loaders import build_pretraining_pool, epoch_index_batches, z_normalize
 from repro.encoders import ProjectionHead, TSEncoder
 from repro.engine import (
     DtypePolicy,
@@ -69,10 +68,10 @@ class BaselineConfig:
     #: toggle, mirroring AimTSConfig.
     n_workers: int = 1
     augment_batched: bool = True
-    #: where a produce stage runs (objectives that have one), mirroring
-    #: AimTSConfig: 0 inline on the parent, n_producers >= 1 in producer
-    #: processes through a ring of prefetch_depth >= 2 slots; per-batch
-    #: streams are keyed by SeedSequence([seed, epoch, step]) either way.
+    #: where the produce stage runs, mirroring AimTSConfig: 0 inline on the
+    #: parent, n_producers >= 1 in producer processes through a ring of
+    #: prefetch_depth >= 2 slots; per-batch streams are keyed by
+    #: SeedSequence([seed, epoch, step]) either way.
     n_producers: int = 0
     prefetch_depth: int = 2
     #: pooled autograd workspaces across training steps (StepArena),
@@ -83,7 +82,16 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         from repro.core.config import _check_pipeline_knobs
 
-        for name in ("repr_dim", "proj_dim", "hidden_channels", "depth", "batch_size", "epochs"):
+        for name in (
+            "repr_dim",
+            "proj_dim",
+            "hidden_channels",
+            "depth",
+            "kernel_size",
+            "series_length",
+            "batch_size",
+            "epochs",
+        ):
             check_positive(name, getattr(self, name))
         check_positive("learning_rate", self.learning_rate)
         check_positive("encode_batch_size", self.encode_batch_size)
@@ -99,10 +107,12 @@ class BaselineConfig:
 class SelfSupervisedBaseline(FineTunedPredictorMixin):
     """Base class for contrastive / reconstruction pre-training baselines.
 
-    Subclasses implement :meth:`batch_loss`, which receives one mini-batch of
-    raw series ``(B, M, T)`` — or, for objectives with a produce stage
-    (:attr:`supports_pipeline`), what :meth:`pipeline_produce` made of one —
-    and returns a scalar loss Tensor.
+    Subclasses split their objective in two stages.  :meth:`pipeline_produce`
+    draws the views of one mini-batch of raw series ``(B, M, T)`` (crops,
+    masks, augmentations) from the step-keyed streams of
+    :meth:`_reseed_for_step` and reads no parameters; :meth:`batch_loss`
+    returns the scalar loss Tensor of what it produced and draws nothing at
+    random.
     """
 
     #: short name used in result tables
@@ -110,13 +120,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
     #: registry key (see :data:`repro.api.registry.ESTIMATORS`)
     api_name = "baseline"
     supports_pretraining = True
-    #: whether the objective splits into a produce stage (augment, no
-    #: parameters; :meth:`pipeline_produce`) and a loss stage
-    #: (:meth:`batch_loss` on the produced batch) — such objectives always
-    #: pre-train on step-keyed streams; objectives whose stochastic draws
-    #: happen inside the loss itself (e.g. TS2Vec crops) keep this False and
-    #: reject ``n_producers >= 1``
-    supports_pipeline = False
 
     def __init__(self, config: BaselineConfig | None = None):
         self.config = config or BaselineConfig()
@@ -162,7 +165,12 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         return self._pretrained
 
     # ------------------------------------------------------------- objectives
-    def batch_loss(self, batch: np.ndarray) -> Tensor:  # pragma: no cover - interface
+    def pipeline_produce(self, batch: np.ndarray):  # pragma: no cover - interface
+        """The produce stage of one step (every random draw; no parameters read)."""
+        raise NotImplementedError
+
+    def batch_loss(self, produced) -> Tensor:  # pragma: no cover - interface
+        """The loss of one produced batch (no random draws)."""
         raise NotImplementedError
 
     def _named_auxiliary_modules(self) -> dict:
@@ -187,14 +195,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             yield from module.parameters()
 
     # ------------------------------------------------------------ pre-training
-    def _named_rngs(self) -> dict:
-        """RNG streams snapshotted into trainer checkpoints (overridable).
-
-        Subclasses with extra stochastic components (e.g. a masking op)
-        extend this so checkpoint → resume restores every stream.
-        """
-        return {"baseline": self._rng}
-
     def _augmentations(self) -> list:
         """Every augmentation op this baseline holds (attribute scan)."""
         from repro.augmentations import Augmentation
@@ -223,11 +223,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         from repro.engine.parallel import derive_step_seed
 
         self._install_rng_children(derive_step_seed(self.config.seed, epoch, step))
-
-    # --------------------------------------------------------------- pipeline
-    def pipeline_produce(self, batch: np.ndarray):  # pragma: no cover - interface
-        """The produce stage of one step (augmented views; no parameters read)."""
-        raise NotImplementedError
 
     def pretrain(
         self,
@@ -265,13 +260,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             # class-sorted, matching build_pretraining_pool's semantics
             X = X[np.sort(self._rng.choice(X.shape[0], size=max_samples, replace=False))]
         epochs = epochs or self.config.epochs
-        if self.config.n_producers >= 1 and not self.supports_pipeline:
-            raise ValueError(
-                f"{type(self).__name__} does not support pipelined pre-training "
-                "(its stochastic draws happen inside the loss stage); set "
-                "n_producers=0"
-            )
-        self._apply_augment_mode()
         optimizer = Adam(list(self.parameters()), lr=self.config.learning_rate)
         loop = _BaselinePretrainLoop(self, X)
         # a pool that broke (or was closed) in an earlier fit is replaced, not
@@ -314,7 +302,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             optimizer,
             callbacks=engine_callbacks,
             history=history,
-            rng=self._rng,
             dtype_policy=self.dtype_policy,
             n_workers=self.config.n_workers,
             worker_pool=self._worker_pool,
@@ -373,27 +360,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         self._finetuner = finetuner
         self._label_map = np.arange(dataset.n_classes, dtype=np.int64)
         return result
-
-    def fit_and_evaluate(
-        self,
-        dataset: TimeSeriesDataset,
-        finetune_config: FineTuneConfig | None = None,
-        *,
-        pretrain_epochs: int | None = None,
-    ) -> float:
-        """Deprecated: pre-train on the dataset itself, then fine-tune.
-
-        Use ``pretrain(dataset.train.X)`` + ``fine_tune(dataset)`` directly,
-        or :func:`repro.evaluation.run_protocol` for whole-archive runs.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.fit_and_evaluate is deprecated; call "
-            "pretrain() + fine_tune() or use repro.evaluation.run_protocol",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.pretrain(dataset.train.X, epochs=pretrain_epochs)
-        return self.fine_tune(dataset, finetune_config).accuracy
 
     # ------------------------------------------------------------ persistence
     def _model_modules(self) -> dict:
@@ -467,26 +433,19 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         )
 
 
-def _baseline_worker_replica(
-    baseline_cls, config: BaselineConfig, init_kwargs: dict, worker_index: int, n_workers: int
-):
+def _baseline_worker_replica(baseline_cls, config: BaselineConfig, init_kwargs: dict):
     """Build one gradient-worker replica of a baseline objective.
 
-    Module-level so spawn workers can unpickle it; weights are overwritten by
-    the parent's shared-memory broadcast each step, and the stochastic
-    streams are re-keyed per step (:meth:`_BaselinePretrainLoop.reseed_for_step`).
+    Module-level so spawn workers can unpickle it.  The replica only computes
+    the loss of its shard of the batch the parent produced, so it draws
+    nothing at random; its weights are overwritten by the parent's
+    shared-memory broadcast each step.
     """
-    baseline = baseline_cls(config, **init_kwargs)
-    baseline._apply_augment_mode()
-    loop = _BaselinePretrainLoop(baseline, None)
-    # remember the shard identity so the pool can reseed the replica per step
-    # (derive_worker_step_seed) — the bit-identical respawn/replay contract
-    loop._worker_key = (int(worker_index), int(n_workers))
-    return loop
+    return _BaselinePretrainLoop(baseline_cls(config, **init_kwargs))
 
 
 class _BaselineProducer:
-    """Picklable produce-stage replica of a pipelined baseline objective.
+    """Picklable produce-stage replica of a baseline objective.
 
     Holds a full baseline instance (cheap at baseline model sizes) but only
     ever runs its parameter-free :meth:`~SelfSupervisedBaseline.pipeline_produce`
@@ -497,8 +456,7 @@ class _BaselineProducer:
     def __init__(self, baseline: SelfSupervisedBaseline):
         self.baseline = baseline
 
-    def produce(self, epoch: int, step: int, payload):
-        indices, series = payload
+    def produce(self, epoch: int, step: int, series: np.ndarray):
         self.baseline._reseed_for_step(epoch, step)
         return self.baseline.pipeline_produce(series)
 
@@ -506,7 +464,7 @@ class _BaselineProducer:
 def _baseline_producer_replica(
     baseline_cls, config: BaselineConfig, init_kwargs: dict, producer_index: int
 ):
-    """Build one batch-producer replica of a pipelined baseline objective.
+    """Build one batch-producer replica of a baseline objective.
 
     ``producer_index`` is deliberately unused: replicas are interchangeable
     (determinism is keyed by schedule position, not by which producer ran
@@ -518,110 +476,50 @@ def _baseline_producer_replica(
 
 
 class _BaselinePretrainLoop(TrainLoop):
-    """Engine adapter for the self-supervised baseline objectives."""
+    """Engine adapter for the self-supervised baseline objectives.
+
+    Every step runs :meth:`pipeline_batches` → produce → :meth:`batch_loss`;
+    worker replicas (``X=None``) only serve :meth:`batch_loss`.
+    """
 
     #: contrastive objectives need at least a pair of samples per shard
     shard_min_samples = 2
 
-    #: ``(worker_index, n_workers)`` in worker-replica mode (set by
-    #: :func:`_baseline_worker_replica`); enables per-step reseeding
-    _worker_key = None
-
-    def __init__(self, baseline: SelfSupervisedBaseline, X: np.ndarray | None):
+    def __init__(self, baseline: SelfSupervisedBaseline, X: np.ndarray | None = None):
         self.baseline = baseline
-        # shares the baseline's generator so each epoch's shuffle (and any
-        # rng the objective itself consumes, e.g. TS2Vec crop offsets)
-        # follows the exact stream positions the seed loop did; worker
-        # replicas (X=None) only serve batch_loss
-        self.iterator = (
-            None
-            if X is None
-            else BatchIterator(
-                X, batch_size=baseline.config.batch_size, shuffle=True, seed=baseline._rng
-            )
-        )
+        #: the z-normalised pre-training pool ``(N, M, T)``
+        self.X = X
 
     def named_modules(self) -> dict:
         return dict(self.baseline._model_modules())
 
-    def named_rngs(self) -> dict:
-        return dict(self.baseline._named_rngs())
-
-    def worker_factory(self):
+    def _replica_factory(self, replica):
         import functools
 
         return functools.partial(
-            _baseline_worker_replica,
+            replica,
             type(self.baseline),
             self.baseline.config,
             self.baseline._manifest_init_kwargs(),
         )
 
-    def reseed_for_step(self, epoch: int, step: int) -> None:
-        """Re-derive the replica streams from the (shard, step) key.
-
-        Called by the gradient worker before every ``batch_loss``: each
-        sharded step becomes a pure function of ``(seed, worker_index,
-        n_workers, epoch, step)``, so a respawned worker recomputes the
-        identical gradient for a replayed step.
-        """
-        from repro.engine.parallel import derive_worker_step_seed
-
-        if self._worker_key is None:
-            return
-        worker_index, n_workers = self._worker_key
-        self.baseline._install_rng_children(
-            derive_worker_step_seed(
-                self.baseline.config.seed, worker_index, n_workers, epoch, step
-            )
-        )
-
-    def make_batches(self, rng, epoch):
-        if self.iterator is None:
-            raise RuntimeError("worker-replica loops only provide batch_loss()")
-        for batch, _ in self.iterator:
-            if batch.shape[0] < 2:
-                continue  # contrastive objectives need at least two samples
-            yield batch
+    def worker_factory(self):
+        return self._replica_factory(_baseline_worker_replica)
 
     def batch_loss(self, batch) -> Tensor:
         return self.baseline.batch_loss(batch)
 
-    # --------------------------------------------------- pipelined pre-training
+    # ---------------------------------------------------------------- pipeline
     def producer_factory(self):
-        if not self.baseline.supports_pipeline:
-            return None
-        import functools
-
-        return functools.partial(
-            _baseline_producer_replica,
-            type(self.baseline),
-            self.baseline.config,
-            self.baseline._manifest_init_kwargs(),
-        )
+        return self._replica_factory(_baseline_producer_replica)
 
     def pipeline_batches(self, epoch):
-        from repro.data.loaders import epoch_index_batches
-
-        X = self.iterator.X
-        corpus = self.iterator.corpus
-        for indices in epoch_index_batches(
-            X, self.baseline.config.batch_size, epoch=epoch, seed=self.baseline.config.seed
-        ):
+        config = self.baseline.config
+        for indices in epoch_index_batches(self.X, config.batch_size, epoch=epoch, seed=config.seed):
             if indices.size < 2:
                 continue  # contrastive objectives need at least two samples
-            series = corpus.gather(indices) if corpus is not None else X[indices]
-            yield indices, np.ascontiguousarray(
-                series, dtype=self.baseline.dtype_policy.np_compute_dtype
-            )
+            yield self.X[indices]
 
     def pipeline_slot_nbytes(self) -> int:
-        X = self.iterator.X
-        if self.iterator.corpus is not None:
-            n_variables, length = self.iterator.corpus.sample_shape
-        else:
-            n_variables, length = int(X.shape[1]), int(X.shape[2])
-        itemsize = np.dtype(self.baseline.dtype_policy.np_compute_dtype).itemsize
-        sample = n_variables * length * itemsize
-        # produced payloads are (typically) two augmented views of the batch
-        return 2 * self.baseline.config.batch_size * sample
+        # produced payloads are (typically) two views of the batch
+        return 2 * self.baseline.config.batch_size * self.X[0].nbytes

@@ -30,26 +30,6 @@ def nt_xent(view_a: Tensor, view_b: Tensor, tau: float = 0.2) -> Tensor:
     return (loss_a + loss_b).mean() * 0.5
 
 
-def random_crop(batch: np.ndarray, crop_ratio: float, rng: np.random.Generator) -> np.ndarray:
-    """Crop a random window (same length for the whole batch) and resample back.
-
-    Keeping the output length equal to the input keeps the encoders happy and
-    matches how subseries-based methods (T-Loss, TS2Vec) are adapted to a
-    fixed-length encoder.
-    """
-    B, M, T = batch.shape
-    window = max(4, int(round(crop_ratio * T)))
-    out = np.empty_like(batch)
-    grid = np.linspace(0.0, 1.0, T)
-    for i in range(B):
-        start = int(rng.integers(0, T - window + 1))
-        crop = batch[i, :, start : start + window]
-        crop_grid = np.linspace(0.0, 1.0, window)
-        for m in range(M):
-            out[i, m] = np.interp(grid, crop_grid, crop[m])
-    return out
-
-
 def crop_window(batch: np.ndarray, start: int, window: int) -> np.ndarray:
     """Extract a fixed window and linearly resample it to the original length."""
     B, M, T = batch.shape

@@ -60,26 +60,23 @@ class MomentLike(SelfSupervisedBaseline):
     def _named_auxiliary_modules(self) -> dict:
         return {"decoder": self.decoder}
 
-    def _named_rngs(self) -> dict:
-        rngs = super()._named_rngs()
-        rngs["masking"] = self.masking._rng
-        return rngs
-
     def _manifest_init_kwargs(self) -> dict:
         return {"mask_ratio": self.masking.mask_ratio}
 
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
-        """Reconstruct the (first variable of the) original series from a masked view."""
+    def pipeline_produce(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A masked view and the ``(B, T)`` channel-averaged target."""
         target_length = self.decoder.series_length
         if batch.shape[2] != target_length:
             # the decoder is sized for the pre-training pool length; resample
             from repro.data.loaders import pad_or_truncate
 
             batch = pad_or_truncate(batch, target_length)
-        masked = self.masking(batch)
-        representation = self.encoder(masked)
-        reconstruction = self.decoder(representation)
-        target = batch.mean(axis=1)  # (B, T): channel-averaged target
+        return self.masking(batch), batch.mean(axis=1)
+
+    def batch_loss(self, produced: tuple[np.ndarray, np.ndarray]) -> Tensor:
+        """Reconstruct the channel-averaged series from its masked view."""
+        masked, target = produced
+        reconstruction = self.decoder(self.encoder(masked))
         return F.mse_loss(reconstruction, target)
 
 
@@ -108,10 +105,14 @@ class UniTSLike(MomentLike):
             "tau": self.tau,
         }
 
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
-        reconstruction_loss = super().batch_loss(batch)
-        view_a = self.masking(batch)
-        view_b = self.masking(batch)
+    def pipeline_produce(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
+        """MOMENT's ``(masked, target)`` plus two masked contrast views."""
+        masked, target = super().pipeline_produce(batch)
+        return masked, target, self.masking(batch), self.masking(batch)
+
+    def batch_loss(self, produced: tuple[np.ndarray, ...]) -> Tensor:
+        masked, target, view_a, view_b = produced
+        reconstruction_loss = super().batch_loss((masked, target))
         proj_a = self.projection(self.encoder(view_a))
         proj_b = self.projection(self.encoder(view_b))
         contrastive_loss = nt_xent(proj_a, proj_b, tau=self.tau)

@@ -22,10 +22,6 @@ class SimCLR(SelfSupervisedBaseline):
 
     name = "SimCLR"
     api_name = "simclr"
-    #: all stochastic draws happen in the two augmentation calls, so the
-    #: objective splits cleanly into produce (views) and loss (NT-Xent) stages
-    #: and pre-trains on step-keyed streams
-    supports_pipeline = True
 
     def __init__(self, config: BaselineConfig | None = None, *, tau: float = 0.2):
         super().__init__(config)

@@ -30,26 +30,36 @@ class TLoss(SelfSupervisedBaseline):
     def _manifest_init_kwargs(self) -> dict:
         return {"n_negatives": self.n_negatives}
 
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
+    def pipeline_produce(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(reference, positive, *negatives)``: ``2 + n_negatives`` crops.
+
+        The negatives stay separate ``(B, M, T)`` arrays (not one stacked
+        array) so the default sharding splits every one along the batch.
+        """
         B, M, T = batch.shape
         ref_window = max(8, int(round(0.8 * T)))
         pos_window = max(4, int(round(0.4 * T)))
         ref_start = int(self._rng.integers(0, T - ref_window + 1))
         pos_start = ref_start + int(self._rng.integers(0, ref_window - pos_window + 1))
-        reference = crop_window(batch, ref_start, ref_window)
-        positive = crop_window(batch, pos_start, pos_window)
-
-        ref_proj = F.l2_normalize(self.projection(self.encoder(reference)), axis=-1)
-        pos_proj = F.l2_normalize(self.projection(self.encoder(positive)), axis=-1)
-        positive_score = (ref_proj * pos_proj).sum(axis=1)
-        loss = -(positive_score.sigmoid().clamp_min(1e-8).log()).mean()
-
+        produced = [
+            crop_window(batch, ref_start, ref_window),
+            crop_window(batch, pos_start, pos_window),
+        ]
         for _ in range(self.n_negatives):
             permutation = self._rng.permutation(B)
             # avoid accidental self-pairs which would make a "negative" positive
             permutation = np.where(permutation == np.arange(B), (permutation + 1) % B, permutation)
             neg_start = int(self._rng.integers(0, T - pos_window + 1))
-            negative = crop_window(batch[permutation], neg_start, pos_window)
+            produced.append(crop_window(batch[permutation], neg_start, pos_window))
+        return tuple(produced)
+
+    def batch_loss(self, produced: tuple[np.ndarray, ...]) -> Tensor:
+        reference, positive, *negatives = produced
+        ref_proj = F.l2_normalize(self.projection(self.encoder(reference)), axis=-1)
+        pos_proj = F.l2_normalize(self.projection(self.encoder(positive)), axis=-1)
+        positive_score = (ref_proj * pos_proj).sum(axis=1)
+        loss = -(positive_score.sigmoid().clamp_min(1e-8).log()).mean()
+        for negative in negatives:
             neg_proj = F.l2_normalize(self.projection(self.encoder(negative)), axis=-1)
             negative_score = (ref_proj * neg_proj).sum(axis=1)
             loss = loss - ((negative_score * -1.0).sigmoid().clamp_min(1e-8).log()).mean()

@@ -29,8 +29,9 @@ class TNC(SelfSupervisedBaseline):
     def _manifest_init_kwargs(self) -> dict:
         return {"window_ratio": self.window_ratio}
 
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
-        B, M, T = batch.shape
+    def pipeline_produce(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Anchor, temporal-neighbour and distant windows of every sample."""
+        T = batch.shape[2]
         window = max(4, int(round(self.window_ratio * T)))
         anchor_start = int(self._rng.integers(0, T - window + 1))
         # neighbour: small offset from the anchor
@@ -40,11 +41,14 @@ class TNC(SelfSupervisedBaseline):
         )
         # distant window: opposite end of the series
         distant_start = (anchor_start + T // 2) % max(1, T - window + 1)
+        return (
+            crop_window(batch, anchor_start, window),
+            crop_window(batch, neighbour_start, window),
+            crop_window(batch, distant_start, window),
+        )
 
-        anchor = crop_window(batch, anchor_start, window)
-        neighbour = crop_window(batch, neighbour_start, window)
-        distant = crop_window(batch, distant_start, window)
-
+    def batch_loss(self, produced: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Tensor:
+        anchor, neighbour, distant = produced
         anchor_proj = F.l2_normalize(self.projection(self.encoder(anchor)), axis=-1)
         neighbour_proj = F.l2_normalize(self.projection(self.encoder(neighbour)), axis=-1)
         distant_proj = F.l2_normalize(self.projection(self.encoder(distant)), axis=-1)

@@ -36,7 +36,7 @@ class TS2Vec(SelfSupervisedBaseline):
     def _manifest_init_kwargs(self) -> dict:
         return {"tau": self.tau, "min_overlap": self.min_overlap}
 
-    def _sample_overlapping_crops(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pipeline_produce(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Two crops with a guaranteed overlapping region (the context views)."""
         T = batch.shape[2]
         window = max(8, int(round(0.7 * T)))
@@ -46,8 +46,8 @@ class TS2Vec(SelfSupervisedBaseline):
         start_b = min(max(0, start_a + offset), max(0, T - window))
         return crop_window(batch, start_a, window), crop_window(batch, start_b, window)
 
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
-        crop_a, crop_b = self._sample_overlapping_crops(batch)
+    def batch_loss(self, produced: tuple[np.ndarray, np.ndarray]) -> Tensor:
+        crop_a, crop_b = produced
         proj_a = self.projection(self.encoder(crop_a))
         proj_b = self.projection(self.encoder(crop_b))
         return nt_xent(proj_a, proj_b, tau=self.tau)

@@ -39,9 +39,11 @@ class TSTCC(SelfSupervisedBaseline):
     def _manifest_init_kwargs(self) -> dict:
         return {"tau": self.tau}
 
-    def batch_loss(self, batch: np.ndarray) -> Tensor:
-        weak = self.weak_augmentation(batch)
-        strong = self.strong_augmentation(batch)
+    def pipeline_produce(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.weak_augmentation(batch), self.strong_augmentation(batch)
+
+    def batch_loss(self, produced: tuple[np.ndarray, np.ndarray]) -> Tensor:
+        weak, strong = produced
         proj_weak = self.projection(self.encoder(weak))
         proj_strong = self.projection(self.encoder(strong))
         return nt_xent(proj_weak, proj_strong, tau=self.tau)

@@ -187,14 +187,17 @@ class AimTSConfig:
             "proj_dim",
             "hidden_channels",
             "depth",
+            "kernel_size",
             "panel_size",
             "series_length",
             "n_variables",
             "batch_size",
             "epochs",
+            "lr_step_size",
         ):
             check_positive(name, getattr(self, name))
         check_positive("learning_rate", self.learning_rate)
+        check_positive("lr_gamma", self.lr_gamma)
         check_probability("alpha", self.alpha)
         check_probability("beta", self.beta)
         check_positive("gamma", self.gamma)
@@ -246,4 +249,7 @@ class FineTuneConfig:
         check_positive("learning_rate", self.learning_rate)
         check_positive("epochs", self.epochs)
         check_positive("batch_size", self.batch_size)
-        check_probability("dropout", self.dropout)
+        if self.classifier_hidden_dim is not None:
+            check_positive("classifier_hidden_dim", self.classifier_hidden_dim)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")

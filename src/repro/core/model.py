@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
-import warnings
 
 import numpy as np
 
@@ -148,34 +147,6 @@ class AimTS(FineTunedPredictorMixin):
         self._finetuner = finetuner
         self._label_map = np.arange(dataset.n_classes, dtype=np.int64)
         return result
-
-    def evaluate_archive(
-        self,
-        datasets: list[TimeSeriesDataset],
-        config: FineTuneConfig | None = None,
-        *,
-        label_ratio: float | None = None,
-        verbose: bool = False,
-    ) -> dict[str, float]:
-        """Deprecated: fine-tune and evaluate on every dataset of an archive.
-
-        Use :func:`repro.evaluation.run_protocol` instead, which runs the same
-        loop for any registered estimator and returns the paper-style summary
-        metrics on top of the raw accuracies.
-        """
-        warnings.warn(
-            "AimTS.evaluate_archive is deprecated; use "
-            "repro.evaluation.run_protocol(model, datasets) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        results = {}
-        for dataset in datasets:
-            result = self.fine_tune(dataset, config, label_ratio=label_ratio, verbose=False)
-            results[dataset.name] = result.accuracy
-            if verbose:
-                print(f"[evaluate] {dataset.name}: acc={result.accuracy:.3f}")
-        return results
 
     # ------------------------------------------------------------ persistence
     def _pretrain_modules(self) -> dict[str, object]:

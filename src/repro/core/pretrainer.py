@@ -202,7 +202,7 @@ class _PretrainProducer:
         return series, images, views_a, views_b, lam
 
 
-def _pretrain_worker_replica(config: AimTSConfig, worker_index: int, n_workers: int):
+def _pretrain_worker_replica(config: AimTSConfig):
     """Build one gradient-worker replica of the pre-training objective.
 
     Runs inside a spawn worker (module-level so it pickles by reference).

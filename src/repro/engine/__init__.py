@@ -4,9 +4,9 @@ One :class:`Trainer` drives AimTS multi-source pre-training, downstream
 fine-tuning and every self-supervised baseline, so cross-cutting training
 capabilities are implemented exactly once as callbacks:
 
-* :class:`TrainLoop` — the objective contract: ``make_batches(rng, epoch)``
-  or a step-keyed produce stage, + ``batch_loss(batch)`` plus checkpointing
-  introspection.
+* :class:`TrainLoop` — the objective contract: a step-keyed produce stage
+  (every pre-training objective) or ``make_batches(rng, epoch)``
+  (fine-tuning), + ``batch_loss(batch)`` plus checkpointing introspection.
 * :class:`TrainState` — epoch/step counters, history and RNG snapshots.
 * :class:`Callback` — the event protocol (``on_fit_start`` /
   ``on_epoch_start`` / ``on_batch_end`` / ``on_backward_end`` /
@@ -61,7 +61,6 @@ from repro.engine.parallel import (
     RingArena,
     WorkerError,
     derive_step_seed,
-    derive_worker_step_seed,
 )
 from repro.engine.state import DtypePolicy, TrainState, get_rng_state, set_rng_state
 from repro.engine.trainer import CHECKPOINT_KIND, CHECKPOINT_TAG, Trainer
@@ -75,7 +74,6 @@ __all__ = [
     "RingArena",
     "WorkerError",
     "derive_step_seed",
-    "derive_worker_step_seed",
     "shard_arrays",
     "TrainState",
     "DtypePolicy",

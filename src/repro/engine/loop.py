@@ -3,9 +3,9 @@
 A loop owns *what* is trained (modules, batches, the loss); the
 :class:`~repro.engine.trainer.Trainer` owns *how* (epochs, optimizer steps,
 gradient accumulation, callbacks, checkpoints).  A loop supplies its batches
-— ``make_batches(rng, epoch)`` or a produce stage — plus one
-``batch_loss(batch)`` and the introspection hooks the trainer needs for
-checkpointing.
+— a produce stage (pre-training) or ``make_batches(rng, epoch)``
+(fine-tuning) — plus one ``batch_loss(batch)`` and the introspection hooks
+the trainer needs for checkpointing.
 """
 
 from __future__ import annotations
@@ -23,23 +23,30 @@ class TrainLoop:
 
     Subclasses supply batches in one of two ways, plus one loss:
 
-    ``make_batches(rng, epoch)``
-        Yield the epoch's mini-batches in order.  Any shuffling must draw
-        from ``rng`` (or from a generator that *shares* it), so the trainer
-        can snapshot and restore the stream for bit-identical resume.
     a produce stage
         :meth:`producer_factory` and :meth:`pipeline_batches`.  ``produce``
-        is the parameter-free part of a step (views, renders, random
-        coefficients) and derives every stream from ``derive_step_seed(seed,
-        epoch, step)``, so running it on the parent (``n_producers=0``) or in
-        any number of producer processes gives bit-identical losses.  A loop
-        whose :meth:`producer_factory` is not ``None`` always trains this way.
+        is the parameter-free part of a step (views, crops, masks, renders,
+        random coefficients) and derives every stream from
+        ``derive_step_seed(seed, epoch, step)``, so running it on the parent
+        (``n_producers=0``) or in any number of producer processes gives
+        bit-identical losses.  A loop whose :meth:`producer_factory` is not
+        ``None`` always trains this way; every pre-training objective does.
+    ``make_batches(rng, epoch)``
+        Yield the epoch's mini-batches in order (fine-tuning).  Any
+        shuffling must draw from ``rng`` (or from a generator that *shares*
+        it), so the trainer can snapshot and restore the stream for
+        bit-identical resume.
     ``batch_loss(batch)``
         Return the scalar loss :class:`~repro.nn.tensor.Tensor` for one
-        (made or produced) batch, or a dict whose ``"loss"`` entry is that
+        (produced or made) batch, or a dict whose ``"loss"`` entry is that
         tensor; extra dict entries (tensors or floats) are logged as
-        additional metrics.  A produced batch may hold zero-copy views into
-        the producer ring, valid for this step only.
+        additional metrics.  A pre-training loss draws nothing at random:
+        sharded gradient workers compute it on slices of the parent's batch,
+        and a respawned worker recomputes it to replay a step
+        bit-identically.  (Fine-tuning never shards; its dropout draws from
+        the checkpointed :meth:`named_rngs` streams.)  A produced batch may
+        hold zero-copy views into the producer ring, valid for this step
+        only.
 
     and the checkpointing hooks:
 
@@ -48,14 +55,14 @@ class TrainLoop:
         the optimizer trains (names become checkpoint key prefixes).
     ``named_rngs()``
         Stable name → :class:`numpy.random.Generator` mapping of every RNG
-        stream a training step draws from (batch shuffling, augmentations,
-        dropout); all are snapshotted into checkpoints and restored by
+        stream a made batch draws from (fine-tuning's shuffle and dropout);
+        all are snapshotted into checkpoints and restored by
         :meth:`~repro.engine.trainer.Trainer.resume`.  Step-keyed streams
         need none.
 
     Loops that support sharded data-parallel training (``Trainer(...,
     n_workers=N)``) additionally provide ``worker_factory`` — a picklable
-    ``factory(worker_index, n_workers)`` that rebuilds a replica with
+    zero-argument ``factory()`` that rebuilds a replica with
     ``parameters()`` / ``batch_loss()`` / ``named_modules()`` inside a spawn
     worker — and may tune :attr:`shard_min_samples` / :meth:`shard_batch`.
     """
@@ -93,7 +100,7 @@ class TrainLoop:
 
     # ------------------------------------------------------------------ sharding
     def worker_factory(self):
-        """Picklable ``factory(worker_index, n_workers)`` building a replica.
+        """Picklable zero-argument ``factory()`` building a replica.
 
         Returns ``None`` (the default) when the loop does not support
         sharded training; the trainer then rejects ``n_workers > 1``.

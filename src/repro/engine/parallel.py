@@ -7,12 +7,11 @@ builds one replica of the training loop's modules (via the loop's picklable
 
 1. the parent packs the current parameters into a shared-memory buffer
    (one contiguous block per dtype — see :class:`repro.nn.flat.FlatLayout`);
-2. the parent writes worker ``w``'s shard of the step's batch (made, or
-   produced on the parent) into slot ``w`` of a :class:`RingArena` (the
-   same shared-memory ring the pipelined producers publish into); each
-   worker copies its shard out of the slot, refreshes its replica's
-   parameters from the shared buffer, computes ``batch_loss`` and
-   backpropagates;
+2. the parent writes worker ``w``'s shard of the step's batch (produced on
+   the parent) into slot ``w`` of a :class:`RingArena` (the same
+   shared-memory ring the pipelined producers publish into); each worker
+   copies its shard out of the slot, refreshes its replica's parameters
+   from the shared buffer, computes ``batch_loss`` and backpropagates;
 3. each worker packs its gradients into its own shared segment, and the
    parent reduces them in **fixed ascending worker order** with per-shard
    weights ``n_w / n_total`` before stepping the optimizer as usual.
@@ -23,13 +22,12 @@ Determinism contract
   sequential path.
 * Multi-worker runs are deterministic *at a fixed worker count*: shards are
   contiguous in-order splits, the gradient reduction order is fixed, and
-  every random draw of a step is keyed by the step.  Loops with a produce
-  stage draw on the parent (:func:`derive_step_seed`) and their workers only
-  compute the loss; a replica whose loss itself draws re-keys its streams
-  per ``(seed, shard, worker count, epoch, step)``
-  (:func:`derive_worker_step_seed`) before every step.  A float64 run
-  repeated — or resumed — with the same ``n_workers`` reproduces its loss
-  curve exactly.
+  every random draw of a step happens on the parent before the batch is
+  split — pre-training draws in its produce stage
+  (:func:`derive_step_seed`) — while the workers only compute
+  ``batch_loss``, which draws nothing at random.  A float64 run repeated —
+  or resumed — with the same ``n_workers`` reproduces its loss curve
+  exactly.
 * Workers start every fit from the parent's module buffers (BN running
   stats, :meth:`GradientWorkerPool.push_module_buffers`) and the parent
   adopts worker 0's at every epoch end.
@@ -57,10 +55,10 @@ producer or gradient worker is respawned (bounded restarts, exponential
 backoff with deterministic jitter) and the in-flight steps are replayed:
 producers re-run exactly the steps whose results were never consumed (their
 streams are step-keyed, so the replay is bit-identical), and a respawned
-gradient worker re-receives its shard message and reseeds per
-:func:`derive_worker_step_seed` before recomputing — the reduced gradient
-matches the no-crash run bit for bit.  Exhausting the restart budget raises
-:class:`WorkerError` as before (the trainer then degrades to the inline
+gradient worker re-receives its shard message and recomputes the loss, a
+pure function of the shard and the broadcast parameters — the reduced
+gradient matches the no-crash run bit for bit.  Exhausting the restart
+budget raises :class:`WorkerError` as before (the trainer then degrades to the inline
 path).  Fault-injection sites ``producer.step`` and ``worker.reduce``
 (:mod:`repro.utils.faults`) sit inside the child step handlers so chaos
 tests can kill children at exact step indices.
@@ -136,22 +134,6 @@ class RestartPolicy:
         delay = self.delay_s(restart_index)
         self.sleep(delay)
         return delay
-
-
-def derive_worker_step_seed(
-    seed: int, worker_index: int, n_workers: int, epoch: int, step: int
-) -> np.random.SeedSequence:
-    """The per-(shard, step) RNG root of the sharded gradient path.
-
-    Replicas that expose ``reseed_for_step(epoch, step)`` re-derive their
-    stochastic streams from this key before every ``batch_loss`` — making
-    each sharded step a pure function of ``(seed, shard, worker count,
-    epoch, step)`` instead of the worker's stream *history*.  That is what
-    lets a respawned worker replay a step bit-identically.
-    """
-    return np.random.SeedSequence(
-        [int(seed), int(worker_index), int(n_workers), int(epoch), int(step)]
-    )
 
 
 def derive_step_seed(seed: int, epoch: int, step: int) -> np.random.SeedSequence:
@@ -451,7 +433,6 @@ def _apply_module_buffers(module, updates: dict[str, np.ndarray], prefix: str = 
 
 def _worker_main(
     worker_index: int,
-    n_workers: int,
     factory,
     compute_dtype: str,
     signature,
@@ -461,7 +442,12 @@ def _worker_main(
     result_queue,
     step_arena: bool = True,
 ) -> None:
-    """Entry point of one gradient worker process."""
+    """Entry point of one gradient worker process.
+
+    Each step message carries a shard and a parameter version; the replica's
+    ``batch_loss`` draws nothing at random, so a respawned worker that
+    re-receives a step recomputes the identical gradient.
+    """
     from repro.nn.arena import StepArena, set_active_arena
     from repro.nn.tensor import Tensor, set_default_dtype
 
@@ -473,7 +459,7 @@ def _worker_main(
         # to the sequential path (pooling never changes values)
         buffer_pool = StepArena() if step_arena else None
         set_active_arena(buffer_pool)
-        replica = factory(worker_index, n_workers)
+        replica = factory()
         layout = FlatLayout(replica.parameters())
         if layout.signature() != signature:
             raise RuntimeError(
@@ -490,16 +476,11 @@ def _worker_main(
             if kind == "stop":
                 break
             if kind == "step":
-                _, version, encoded, ring_spec, step_key = message
+                _, version, encoded, ring_spec = message
                 ring = _attach_ring(ring, ring_spec)
                 if version != seen_version:  # params only move on optimizer steps
                     layout.unpack_data(param_block.arrays)
                     seen_version = version
-                # step-keyed streams (not stream history) — a respawned
-                # worker replays this step bit-identically
-                reseed = getattr(replica, "reseed_for_step", None)
-                if reseed is not None:
-                    reseed(int(step_key[0]), int(step_key[1]))
                 batch = _decode_batch(encoded, ring._shm.buf)
                 for param in layout.parameters:
                     param.grad = None
@@ -543,9 +524,11 @@ class GradientWorkerPool:
     Parameters
     ----------
     factory:
-        Picklable callable ``factory(worker_index, n_workers)`` returning a
-        replica object with ``parameters()``, ``batch_loss(batch)`` and
-        ``named_modules()`` (see ``TrainLoop.worker_factory``).
+        Picklable zero-argument callable returning a replica object with
+        ``parameters()``, ``batch_loss(batch)`` and ``named_modules()`` (see
+        ``TrainLoop.worker_factory``).  ``batch_loss`` must draw nothing at
+        random: every stochastic choice of a step is made before the batch
+        is sharded.
     parameters:
         The parent's parameters, in the same order the replica yields them.
     n_workers:
@@ -558,9 +541,9 @@ class GradientWorkerPool:
     restart_policy:
         Optional :class:`RestartPolicy`.  When set, a worker that dies (or
         errors) mid-step is respawned under the same shard index and its
-        step message is re-sent; replicas exposing ``reseed_for_step`` then
-        recompute the identical gradient.  ``None`` keeps the historical
-        fail-fast behaviour.
+        step message is re-sent, so the replacement recomputes the
+        identical gradient.  ``None`` keeps the historical fail-fast
+        behaviour.
     step_arena:
         Give every worker replica a private
         :class:`~repro.nn.arena.StepArena` so its forward/backward passes
@@ -620,7 +603,6 @@ class GradientWorkerPool:
                 target=_worker_main,
                 args=(
                     index,
-                    self.n_workers,
                     factory,
                     compute_dtype,
                     signature,
@@ -675,7 +657,6 @@ class GradientWorkerPool:
             target=_worker_main,
             args=(
                 index,
-                self.n_workers,
                 self._factory,
                 self._compute_dtype,
                 self._signature,
@@ -755,9 +736,7 @@ class GradientWorkerPool:
         return replies
 
     # --------------------------------------------------------------------- step
-    def step(
-        self, shards, *, step_key: tuple[int, int], accumulate: bool = False
-    ) -> dict[str, float]:
+    def step(self, shards, *, accumulate: bool = False) -> dict[str, float]:
         """Run one sharded forward/backward; deposit gradients on the parent.
 
         ``shards`` is ``[(batch, weight), ...]`` from ``TrainLoop.
@@ -765,11 +744,6 @@ class GradientWorkerPool:
         shard-weighted metric logs.  Gradients land in each parameter's
         ``.grad`` — reduced in fixed worker order — ready for callbacks and
         ``optimizer.step()`` exactly like a sequential backward.
-
-        ``step_key`` is the ``(epoch, step)`` schedule position: replicas
-        exposing ``reseed_for_step`` re-derive their streams from it before
-        the loss (:func:`derive_worker_step_seed`), which is what makes a
-        respawn-and-replay under a :class:`RestartPolicy` bit-identical.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -794,7 +768,7 @@ class GradientWorkerPool:
         messages: dict[int, tuple] = {}
         for worker_index, (batch, _) in enumerate(shards):
             encoded = _encode_batch(batch, ring.writer(worker_index))
-            message = ("step", self._param_version, encoded, ring.spec, step_key)
+            message = ("step", self._param_version, encoded, ring.spec)
             messages[worker_index] = message
             self._command_queues[worker_index].put(message)
         replies = self._collect(
@@ -941,10 +915,10 @@ class ProducerPool:
     factory:
         Picklable ``factory(producer_index)`` returning a producer object
         with ``produce(epoch, step, payload)`` (see
-        ``TrainLoop.producer_factory``).  Unlike ``worker_factory`` it takes
-        no pool-size argument: per-step streams are keyed by
-        :func:`derive_step_seed`, so replicas must not (and cannot) condition
-        on the producer count — that is what makes :meth:`resize` curve-safe.
+        ``TrainLoop.producer_factory``).  It takes no pool-size argument:
+        per-step streams are keyed by :func:`derive_step_seed`, so replicas
+        must not (and cannot) condition on the producer count — that is what
+        makes :meth:`resize` curve-safe.
     n_producers:
         Producer process count (>= 1; ``0`` never reaches this class — the
         trainer then produces inline on the parent).

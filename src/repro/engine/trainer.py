@@ -487,11 +487,11 @@ class Trainer:
             profile_start = (
                 self.profiler.snapshot() if self.profiler is not None else None
             )
-            batch_iter = enumerate(batches)
+            batch_iter = iter(batches)
             while True:
                 with profiled_phase("fetch"):
                     try:
-                        step_in_epoch, batch = next(batch_iter)
+                        batch = next(batch_iter)
                     except StopIteration:
                         break
                 if micro == 0:
@@ -499,9 +499,7 @@ class Trainer:
                 if pool is not None:
                     with profiled_phase("workers"):
                         logs = pool.step(
-                            self.loop.shard_batch(batch, pool.n_workers),
-                            accumulate=micro > 0,
-                            step_key=(epoch, step_in_epoch),
+                            self.loop.shard_batch(batch, pool.n_workers), accumulate=micro > 0
                         )
                 else:
                     with profiled_phase("forward"):

@@ -201,19 +201,3 @@ class TestFullBundleContents:
         assert not baseline.is_fitted
         with pytest.raises(RuntimeError, match="no fine-tuned classifier"):
             baseline.predict(small_dataset.test.X)
-
-
-class TestDeprecatedEntryPoints:
-    def test_baseline_fit_and_evaluate_warns(self, tiny_baseline_config, small_dataset):
-        baseline = TS2Vec(tiny_baseline_config)
-        finetune = FineTuneConfig(epochs=1, batch_size=8, classifier_hidden_dim=8, seed=0)
-        with pytest.warns(DeprecationWarning, match="fit_and_evaluate is deprecated"):
-            accuracy = baseline.fit_and_evaluate(small_dataset, finetune, pretrain_epochs=1)
-        assert 0.0 <= accuracy <= 1.0
-
-    def test_aimts_evaluate_archive_warns(self, tiny_config, small_dataset):
-        model = AimTS(tiny_config)
-        finetune = FineTuneConfig(epochs=1, batch_size=8, classifier_hidden_dim=8, seed=0)
-        with pytest.warns(DeprecationWarning, match="evaluate_archive is deprecated"):
-            results = model.evaluate_archive([small_dataset], finetune)
-        assert set(results) == {small_dataset.name}

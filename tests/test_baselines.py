@@ -44,12 +44,15 @@ class TestBaselineConfig:
             BaselineConfig(repr_dim=0)
         with pytest.raises(ValueError):
             BaselineConfig(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            BaselineConfig(kernel_size=0)
+        with pytest.raises(ValueError):
+            BaselineConfig(series_length=0)
 
 
 def _loss_input(baseline, batch):
-    """``batch`` as the loss receives it: produced first when there is a
-    produce stage."""
-    return baseline.pipeline_produce(batch) if baseline.supports_pipeline else batch
+    """``batch`` as the loss receives it: through the produce stage."""
+    return baseline.pipeline_produce(batch)
 
 
 @pytest.mark.parametrize("baseline_cls", CONTRASTIVE_BASELINES + FOUNDATION_BASELINES)
@@ -64,6 +67,13 @@ class TestSelfSupervisedBaselines:
         baseline = baseline_cls(baseline_config)
         baseline.batch_loss(_loss_input(baseline, small_dataset.train.X[:6])).backward()
         assert any(p.grad is not None for p in baseline.encoder.parameters())
+
+    def test_batch_loss_draws_nothing_at_random(self, baseline_cls, baseline_config, small_dataset):
+        # every random draw belongs to the produce stage: sharded workers
+        # and respawned replicas recompute the loss of one produced batch
+        baseline = baseline_cls(baseline_config)
+        produced = _loss_input(baseline, small_dataset.train.X[:6])
+        assert baseline.batch_loss(produced).item() == baseline.batch_loss(produced).item()
 
     def test_pretrain_returns_loss_curve(self, baseline_cls, baseline_config, small_dataset):
         baseline = baseline_cls(baseline_config)
@@ -104,7 +114,9 @@ class TestMultiSourceBaselines:
         units = UniTSLike(baseline_config, contrastive_weight=0.5)
         moment = MomentLike(baseline_config)
         batch = small_dataset.train.X[:6]
-        assert units.batch_loss(batch).item() != pytest.approx(moment.batch_loss(batch).item())
+        assert units.batch_loss(units.pipeline_produce(batch)).item() != pytest.approx(
+            moment.batch_loss(moment.pipeline_produce(batch)).item()
+        )
 
     def test_ts2vec_supports_multi_source_pretraining(self, baseline_config):
         corpus = load_pretraining_corpus("monash", n_datasets=2, seed=0)

@@ -36,6 +36,9 @@ class TestAimTSConfig:
             {"mixup_mode": "magic"},
             {"prototype_reduction": "max"},
             {"augmentation_names": ()},
+            {"kernel_size": 0},
+            {"lr_step_size": 0},
+            {"lr_gamma": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -52,7 +55,14 @@ class TestFineTuneConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"learning_rate": 0.0}, {"epochs": 0}, {"batch_size": 0}, {"dropout": 1.5}],
+        [
+            {"learning_rate": 0.0},
+            {"epochs": 0},
+            {"batch_size": 0},
+            {"dropout": 1.5},
+            {"dropout": 1.0},
+            {"classifier_hidden_dim": 0},
+        ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -105,13 +105,6 @@ class TestAimTSModel:
         representations = pretrained_model.encode(small_dataset.test.X[:5])
         assert representations.shape == (5, pretrained_model.config.repr_dim)
 
-    def test_evaluate_archive(self, pretrained_model, small_dataset, small_multivariate_dataset):
-        results = pretrained_model.evaluate_archive(
-            [small_dataset, small_multivariate_dataset], FineTuneConfig(epochs=3, seed=0)
-        )
-        assert set(results) == {"unit_ecg", "unit_motion"}
-        assert all(0.0 <= v <= 1.0 for v in results.values())
-
     def test_save_and_load_roundtrip(self, pretrained_model, tmp_path):
         path = pretrained_model.save(tmp_path / "aimts")
         fresh = AimTS(pretrained_model.config)

@@ -251,7 +251,7 @@ class TestWorkerRing:
     def test_regrown_ring_keeps_gradients_and_unlinks_the_old_segment(self):
         # in a fit the first batch is the largest, so only direct steps reach
         # the regrow path: pool A grows from an 8- to a 64-sample batch, pool
-        # B starts at 64 samples, and the same step key must give the same
+        # B starts at 64 samples, and the same shards must give the same
         # gradient bit for bit
         from repro.core.pretrainer import _PretrainLoop
 
@@ -271,15 +271,15 @@ class TestWorkerRing:
             return GradientWorkerPool(loop.worker_factory(), parameters, n_workers=2)
 
         with make_pool() as pool_a:
-            pool_a.step(small, step_key=(0, 0))
+            pool_a.step(small)
             outgrown = pool_a._ring.spec
-            pool_a.step(large, step_key=(0, 1))
+            pool_a.step(large)
             assert pool_a._ring.slot_nbytes > outgrown[2]
             with pytest.raises(FileNotFoundError):
                 RingArena.attach(*outgrown)
             grads_a = [param.grad.tobytes() for param in parameters]
         with make_pool() as pool_b:
-            pool_b.step(large, step_key=(0, 1))
+            pool_b.step(large)
             grads_b = [param.grad.tobytes() for param in parameters]
         assert grads_a == grads_b
 
@@ -318,7 +318,7 @@ class TestTrainerValidation:
         model = Linear(3, 2, rng=0)
         with pytest.raises(ValueError, match="picklable"):
             GradientWorkerPool(
-                lambda worker_index, n_workers: None,
+                lambda: None,
                 list(model.parameters()),
                 n_workers=2,
             )
@@ -341,11 +341,11 @@ class TestTrainerValidation:
         with pytest.raises(WorkerError, match="worker"):
             # a malformed shard (2-D series) makes the replica loss raise;
             # the pool must surface the remote traceback, not hang
-            pool.step([(np.zeros((4, TINY["series_length"])), 4)], step_key=(0, 0))
+            pool.step([(np.zeros((4, TINY["series_length"])), 4)])
         # stale in-flight replies could pair old gradients with a new batch,
         # so the pool refuses further steps after any worker error
         with pytest.raises(RuntimeError, match="broken"):
-            pool.step([(tiny_pool(4), 4)], step_key=(0, 1))
+            pool.step([(tiny_pool(4), 4)])
         pretrainer.shutdown_workers()
 
 

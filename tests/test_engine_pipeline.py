@@ -11,8 +11,7 @@ Three families of tests:
   streams keyed by ``SeedSequence([seed, epoch, step])``, the float64 loss
   curve is *bit-identical* (``==`` on floats, no tolerance) between producing
   inline on the parent (``n_producers=0``) and producer processes at any
-  ``(n_producers, prefetch_depth)``, for AimTS and for a pipelined SSL
-  baseline (SimCLR).
+  ``(n_producers, prefetch_depth)``, for AimTS and for every SSL baseline.
 """
 
 from __future__ import annotations
@@ -20,9 +19,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.base import BaselineConfig
-from repro.baselines.simclr import SimCLR
-from repro.baselines.ts2vec import TS2Vec
+from repro.baselines import (
+    TNC,
+    TSTCC,
+    BaselineConfig,
+    MomentLike,
+    SimCLR,
+    TLoss,
+    TS2Vec,
+    UniTSLike,
+)
 from repro.core.config import AimTSConfig
 from repro.core.pretrainer import AimTSPretrainer
 from repro.engine import Callback, Trainer, TrainLoop
@@ -319,11 +325,6 @@ class TestPipelineValidation:
         with pytest.raises(ValueError, match="producer_factory"):
             trainer.fit(1)
 
-    def test_non_pipeline_baseline_rejects_producers(self):
-        baseline = TS2Vec(BaselineConfig(**BASELINE_TINY, n_producers=1))
-        with pytest.raises(ValueError, match="does not support pipelined"):
-            baseline.pretrain(tiny_pool())
-
 
 class _MiniLoop(TrainLoop):
     def __init__(self):
@@ -352,6 +353,13 @@ def _aimts_losses(n_producers, prefetch_depth):
     return history.total_loss, history.prototype_loss, history.series_image_loss
 
 
+def _baseline_curve(baseline_cls, **knobs):
+    baseline = baseline_cls(BaselineConfig(**BASELINE_TINY, **knobs))
+    curve = list(baseline.pretrain(tiny_pool()))
+    baseline.shutdown_workers()
+    return curve
+
+
 class TestPipelinedBitIdentity:
     """Float64 losses identical to producing on the parent, ``==`` exact."""
 
@@ -368,14 +376,21 @@ class TestPipelinedBitIdentity:
 
     @pytest.mark.parametrize("n_producers,prefetch_depth", [(1, 2), (2, 4)])
     def test_simclr_pipelined_matches_sequential(self, n_producers, prefetch_depth):
-        def run(**knobs):
-            baseline = SimCLR(BaselineConfig(**BASELINE_TINY, **knobs))
-            curve = list(baseline.pretrain(tiny_pool()))
-            baseline.shutdown_workers()
-            return curve
+        reference = _baseline_curve(SimCLR, n_producers=0)
+        pipelined = _baseline_curve(
+            SimCLR, n_producers=n_producers, prefetch_depth=prefetch_depth
+        )
+        assert pipelined == reference
 
-        reference = run(n_producers=0)
-        assert run(n_producers=n_producers, prefetch_depth=prefetch_depth) == reference
+    @pytest.mark.parametrize(
+        "baseline_cls",
+        [TS2Vec, TNC, TLoss, TSTCC, MomentLike, UniTSLike],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_baseline_pipelined_matches_sequential(self, baseline_cls):
+        reference = _baseline_curve(baseline_cls, n_producers=0)
+        pipelined = _baseline_curve(baseline_cls, n_producers=1, prefetch_depth=2)
+        assert pipelined == reference
 
     def test_elastic_producers_mid_fit_keep_the_curve(self, aimts_reference):
         class GrowProducers(Callback):

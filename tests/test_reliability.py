@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.api.bundle import load_bundle, save_bundle
-from repro.baselines import BaselineConfig, SimCLR
+from repro.baselines import BaselineConfig, SimCLR, TLoss
 from repro.core.config import AimTSConfig
 from repro.core.pretrainer import AimTSPretrainer
 from repro.data.corpus import CorpusReadError, CorpusWriter, ShardedCorpus
@@ -185,6 +185,25 @@ class TestSelfHealingPretrain:
             curve, _, worker_restarts = _aimts_run(tiny_pool(), n_workers=2)
         assert curve == reference
         assert worker_restarts >= 1
+
+    def test_baseline_worker_crash_respawns_bit_identically(self, tmp_path):
+        # T-Loss draws the most per step (crops, permuted negatives); all of
+        # it happens on the parent, so a respawned worker recomputes the
+        # same shard loss and gradient
+        def run(restart):
+            baseline = TLoss(BaselineConfig(**BASELINE_TINY, n_workers=2))
+            if restart:
+                baseline.restart_policy = RestartPolicy(3, sleep=no_sleep)
+            curve = list(baseline.pretrain(tiny_pool()))
+            restarts = baseline._worker_pool.restart_count
+            baseline.shutdown_workers()
+            return curve, restarts
+
+        reference, _ = run(restart=False)
+        with faults.armed(FaultPlan([("worker.reduce", 1)], scratch_dir=tmp_path)):
+            curve, restarts = run(restart=True)
+        assert curve == reference
+        assert restarts >= 1
 
     def test_budget_exhaustion_degrades_inline_with_warning(
         self, pipelined_reference, tmp_path
