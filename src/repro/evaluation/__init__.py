@@ -6,8 +6,8 @@
   difference and a text rendering of the CD diagram (Fig. 6).
 * :mod:`~repro.evaluation.protocols` — the three evaluation paradigms
   (case-by-case, multi-source generalization, few-shot learning).
-* :mod:`~repro.evaluation.efficiency` — parameter counts, activation-memory
-  estimates and wall-clock timing (Fig. 7c/d, Fig. 8a-c).
+* :mod:`~repro.evaluation.efficiency` — parameter counts, measured
+  activation memory and wall-clock timing (Fig. 7c/d, Fig. 8a-c).
 """
 
 from repro.evaluation.efficiency import EfficiencyReport, measure_finetune_efficiency

@@ -3,10 +3,12 @@
 The paper measures maximum GPU memory and total fine-tuning + inference time.
 On the CPU substrate we report the analogous quantities:
 
-* ``parameter_count`` and ``parameter_bytes`` — model size;
-* ``activation_bytes`` — an estimate of the peak activation footprint of one
-  forward pass at the given batch size (the quantity that dominates GPU memory
-  in the paper's measurement);
+* ``parameter_count`` and ``parameter_bytes`` — model size (the bytes of the
+  parameters as stored, so float32 models report half of float64 ones);
+* ``activation_bytes`` — the measured peak of the fine-tuning
+  :class:`~repro.nn.arena.StepArena`, which pools every forward activation
+  and backward workspace of a training step (the quantity that dominates GPU
+  memory in the paper's measurement);
 * ``total_seconds`` — wall-clock time of fine-tuning plus inference.
 """
 
@@ -14,8 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.config import FineTuneConfig
 from repro.core.finetuner import FineTuner
@@ -47,29 +47,6 @@ def count_parameters(module: Module) -> int:
     return module.num_parameters()
 
 
-def estimate_activation_bytes(
-    encoder: TSEncoder,
-    *,
-    batch_size: int,
-    n_variables: int,
-    length: int,
-    hidden_channels: int | None = None,
-    bytes_per_value: int = 8,
-) -> int:
-    """Rough peak-activation estimate of one encoder forward pass.
-
-    The dominant activations of the dilated-conv encoder are the
-    ``(B*M, hidden, T)`` feature maps of each residual block (two convolutions
-    per block plus the block output), which this helper sums.
-    """
-    hidden = hidden_channels or encoder.input_conv.out_channels
-    streams = batch_size * (n_variables if encoder.channel_independent else 1)
-    per_block = 3 * streams * hidden * length
-    n_blocks = len(list(encoder.blocks)) if hasattr(encoder, "blocks") else 1
-    total_values = per_block * (n_blocks + 1)
-    return int(total_values * bytes_per_value)
-
-
 def measure_finetune_efficiency(
     encoder: TSEncoder,
     dataset: TimeSeriesDataset,
@@ -77,27 +54,28 @@ def measure_finetune_efficiency(
     method: str = "AimTS",
     finetune_config: FineTuneConfig | None = None,
 ) -> EfficiencyReport:
-    """Fine-tune + run inference once, timing the whole procedure (Fig. 7d)."""
+    """Fine-tune + run inference once, timing the whole procedure (Fig. 7d).
+
+    Memory (Fig. 7c) is measured, not estimated: the parameters' ``nbytes``
+    plus the fine-tuning step arena's peak, so ``finetune_config.step_arena``
+    must be on.
+    """
     config = finetune_config or FineTuneConfig(epochs=10, batch_size=8)
+    if not config.step_arena:
+        raise ValueError("measuring activation memory needs finetune_config.step_arena=True")
     finetuner = FineTuner(encoder, dataset.n_classes, config)
     start = time.perf_counter()
     finetuner.fit(dataset.train)
     predictions = finetuner.predict(dataset.test.X)
     elapsed = time.perf_counter() - start
     accuracy = float((predictions == dataset.test.y).mean())
-    parameter_count = count_parameters(encoder) + count_parameters(finetuner.classifier)
-    activation_bytes = estimate_activation_bytes(
-        encoder,
-        batch_size=config.batch_size,
-        n_variables=dataset.n_variables,
-        length=dataset.length,
-    )
+    modules = (encoder, finetuner.classifier)
     return EfficiencyReport(
         method=method,
         dataset=dataset.name,
-        parameter_count=parameter_count,
-        parameter_bytes=parameter_count * 8,
-        activation_bytes=activation_bytes,
+        parameter_count=sum(count_parameters(module) for module in modules),
+        parameter_bytes=sum(p.data.nbytes for module in modules for p in module.parameters()),
+        activation_bytes=finetuner.trainer.arena_stats()["peak_bytes"],
         total_seconds=elapsed,
         accuracy=accuracy,
     )

@@ -259,30 +259,19 @@ def conv1d(
                 grad = grad * mask_t
         grad_out = grad.transpose(0, 2, 1)  # (B, out_t, C_out)
         if weight.requires_grad:
-            if grad_out.dtype == np.float32 and cols.dtype == np.float32:
-                # BLAS sgemm beats c_einsum on the float32 fast path; the
-                # float64 reference keeps einsum's bit-exact accumulation
-                rows = grad_out.shape[0] * grad_out.shape[1]
-                if pool is not None:
-                    flat_grad = pool.scratch("conv1d.gflat", (rows, out_channels), grad_out.dtype)
-                    np.copyto(flat_grad.reshape(grad_out.shape), grad_out)
-                else:
-                    flat_grad = grad_out.reshape(rows, out_channels)
-                cols_flat = cols.reshape(rows, -1)
-                if pool is not None:
-                    grad_w = np.matmul(
-                        flat_grad.T,
-                        cols_flat,
-                        out=pool.scratch(
-                            "conv1d.gw", (out_channels, cols_flat.shape[1]), grad_out.dtype
-                        ),
-                    )
-                else:
-                    grad_w = flat_grad.T @ cols_flat
-                weight._accumulate(grad_w.reshape(weight.shape))
+            rows = grad_out.shape[0] * grad_out.shape[1]
+            cols_flat = cols.reshape(rows, -1)
+            if pool is not None:
+                flat_grad = pool.scratch("conv1d.gflat", (rows, out_channels), grad_out.dtype)
+                np.copyto(flat_grad.reshape(grad_out.shape), grad_out)
+                grad_w = np.matmul(
+                    flat_grad.T,
+                    cols_flat,
+                    out=pool.scratch("conv1d.gw", (out_channels, cols_flat.shape[1]), grad_out.dtype),
+                )
             else:
-                grad_w = np.einsum("bto,btk->ok", grad_out, cols).reshape(weight.shape)
-                weight._accumulate(grad_w)
+                grad_w = grad_out.reshape(rows, out_channels).T @ cols_flat
+            weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_out.sum(axis=(0, 1)))
         if x.requires_grad:
@@ -447,28 +436,19 @@ def conv2d(
                 grad = grad * mask_t
         grad_out = grad.transpose(0, 2, 3, 1)  # (B, oh, ow, C_out)
         if weight.requires_grad:
-            if grad_out.dtype == np.float32 and cols.dtype == np.float32:
-                rows = grad_out.shape[0] * grad_out.shape[1] * grad_out.shape[2]
-                if pool is not None:
-                    flat_grad = pool.scratch("conv2d.gflat", (rows, out_channels), grad_out.dtype)
-                    np.copyto(flat_grad.reshape(grad_out.shape), grad_out)
-                else:
-                    flat_grad = grad_out.reshape(rows, out_channels)
-                cols_flat = cols.reshape(rows, -1)
-                if pool is not None:
-                    grad_w = np.matmul(
-                        flat_grad.T,
-                        cols_flat,
-                        out=pool.scratch(
-                            "conv2d.gw", (out_channels, cols_flat.shape[1]), grad_out.dtype
-                        ),
-                    )
-                else:
-                    grad_w = flat_grad.T @ cols_flat
-                weight._accumulate(grad_w.reshape(weight.shape))
+            rows = grad_out.shape[0] * grad_out.shape[1] * grad_out.shape[2]
+            cols_flat = cols.reshape(rows, -1)
+            if pool is not None:
+                flat_grad = pool.scratch("conv2d.gflat", (rows, out_channels), grad_out.dtype)
+                np.copyto(flat_grad.reshape(grad_out.shape), grad_out)
+                grad_w = np.matmul(
+                    flat_grad.T,
+                    cols_flat,
+                    out=pool.scratch("conv2d.gw", (out_channels, cols_flat.shape[1]), grad_out.dtype),
+                )
             else:
-                grad_w = np.einsum("bhwo,bhwk->ok", grad_out, cols).reshape(weight.shape)
-                weight._accumulate(grad_w)
+                grad_w = grad_out.reshape(rows, out_channels).T @ cols_flat
+            weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_out.sum(axis=(0, 1, 2)))
         if x.requires_grad:

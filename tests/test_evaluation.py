@@ -22,7 +22,8 @@ from repro.evaluation import (
     render_cd_diagram,
     summarize_methods,
 )
-from repro.evaluation.efficiency import count_parameters, estimate_activation_bytes, scalability_sweep
+from repro.evaluation.efficiency import count_parameters, scalability_sweep
+from repro.nn.tensor import default_dtype
 
 
 @pytest.fixture
@@ -139,13 +140,44 @@ class TestEfficiency:
         encoder = TSEncoder(hidden_channels=8, repr_dim=16, depth=1, rng=0)
         assert count_parameters(encoder) == encoder.num_parameters()
 
-    def test_activation_estimate_scales_with_batch_and_length(self):
+    def test_float32_parameter_bytes_are_the_parameters_nbytes(self):
+        dataset = make_dataset("eff32", "ecg", n_classes=2, n_train=8, n_test=4, length=32, seed=0)
+        with default_dtype(np.float32):
+            encoder = TSEncoder(hidden_channels=8, repr_dim=16, depth=1, rng=0)
+        report = measure_finetune_efficiency(
+            encoder, dataset, method="unit", finetune_config=FineTuneConfig(epochs=1, seed=0)
+        )
+        assert report.parameter_bytes == report.parameter_count * np.dtype(np.float32).itemsize
+
+    def test_measured_activation_bytes_grow_with_batch_and_length(self):
+        def activation_bytes(batch_size, length):
+            dataset = make_dataset(
+                f"eff_{batch_size}_{length}", "ecg", n_classes=2, n_train=16, n_test=4,
+                length=length, seed=0,
+            )
+            report = measure_finetune_efficiency(
+                TSEncoder(hidden_channels=8, repr_dim=16, depth=1, rng=0),
+                dataset,
+                method="unit",
+                finetune_config=FineTuneConfig(epochs=1, batch_size=batch_size, seed=0),
+            )
+            return report.activation_bytes
+
+        small = activation_bytes(4, 48)
+        assert small > 0
+        assert activation_bytes(8, 48) > small
+        assert activation_bytes(4, 96) > small
+
+    def test_memory_measurement_needs_the_step_arena(self):
+        dataset = make_dataset("eff_off", "ecg", n_classes=2, n_train=8, n_test=4, length=32, seed=0)
         encoder = TSEncoder(hidden_channels=8, repr_dim=16, depth=1, rng=0)
-        small = estimate_activation_bytes(encoder, batch_size=4, n_variables=1, length=50)
-        bigger_batch = estimate_activation_bytes(encoder, batch_size=8, n_variables=1, length=50)
-        longer = estimate_activation_bytes(encoder, batch_size=4, n_variables=1, length=100)
-        assert bigger_batch == 2 * small
-        assert longer == 2 * small
+        before = {name: value.copy() for name, value in encoder.state_dict().items()}
+        with pytest.raises(ValueError, match="step_arena"):
+            measure_finetune_efficiency(
+                encoder, dataset, finetune_config=FineTuneConfig(epochs=1, step_arena=False, seed=0)
+            )
+        for name, value in encoder.state_dict().items():
+            assert np.array_equal(value, before[name]), f"{name} changed: the fit ran"
 
     def test_measure_finetune_efficiency_report(self):
         dataset = make_dataset("eff", "ecg", n_classes=2, n_train=12, n_test=12, length=48, seed=0)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.arena import StepArena, use_arena
 from repro.nn.tensor import Tensor
 from tests.test_nn_tensor import numerical_gradient
 
@@ -157,6 +162,78 @@ class TestConvolutions:
         out = F.conv2d(x, w, None)
         assert out.shape == (1, 1, 1, 1)
         assert out.item() == pytest.approx(9.0)
+
+
+def _check_conv_against_finite_differences(conv, seed, x_shape, w_shape, relu, arena, **kwargs):
+    """Autograd x/weight/bias gradients of ``sum(conv(x, w, b) * g)`` against
+    central differences, with the node run under a fresh arena or none."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    b = rng.normal(size=w_shape[0])
+    pre_activation = conv(Tensor(x), Tensor(w), Tensor(b), **kwargs).data
+    # the finite differences must not step across the ReLU's kink
+    assume(not relu or np.abs(pre_activation).min() > 1e-3)
+    g = rng.normal(size=pre_activation.shape)
+
+    def scalar():
+        return float((conv(Tensor(x), Tensor(w), Tensor(b), relu=relu, **kwargs).data * g).sum())
+
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with use_arena(StepArena()) if arena else contextlib.nullcontext():
+        (conv(tx, tw, tb, relu=relu, **kwargs) * Tensor(g)).sum().backward()
+    _numeric_check(scalar, x, tx.grad)
+    _numeric_check(scalar, w, tw.grad)
+    _numeric_check(scalar, b, tb.grad)
+
+
+class TestConvGradientProperties:
+    """float64 conv gradients (GEMM weight gradient, col2im input gradient,
+    fused ReLU, arena-pooled buffers) against finite differences."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 5),
+        in_channels=st.integers(1, 3),
+        out_channels=st.integers(1, 3),
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        dilation=st.integers(1, 3),
+        extra=st.integers(0, 8),
+        relu=st.booleans(),
+        arena=st.booleans(),
+    )
+    def test_conv1d(
+        self, seed, batch, in_channels, out_channels, kernel, stride, padding, dilation, extra, relu, arena
+    ):
+        span = (kernel - 1) * dilation + 1
+        length = max(1, span - 2 * padding) + extra
+        _check_conv_against_finite_differences(
+            F.conv1d, seed, (batch, in_channels, length), (out_channels, in_channels, kernel),
+            relu, arena, stride=stride, padding=padding, dilation=dilation,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 5),
+        in_channels=st.integers(1, 3),
+        out_channels=st.integers(1, 3),
+        kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        relu=st.booleans(),
+        arena=st.booleans(),
+    )
+    def test_conv2d(self, seed, batch, in_channels, out_channels, kernel, stride, padding, extra, relu, arena):
+        height, width = (max(1, k - 2 * p) + e for k, p, e in zip(kernel, padding, extra))
+        _check_conv_against_finite_differences(
+            F.conv2d, seed, (batch, in_channels, height, width), (out_channels, in_channels, *kernel),
+            relu, arena, stride=stride, padding=padding,
+        )
 
 
 class TestPoolingAndDropout:

@@ -3,8 +3,9 @@
 PR 4 threads the ``DtypePolicy`` through the whole compute core and adds the
 fused no-grad inference path.  These tests pin the contract:
 
-* the float64 path stays the bit-exact reference (vectorized col2im and the
-  pooling rewrite are bit-identical to their loop predecessors),
+* the float64 path stays the bit-exact reference (vectorized col2im, in
+  float64 and float32, and the pooling rewrite are bit-identical to their
+  loop predecessors),
 * float32 training tracks the float64 loss curves within tolerance,
 * inference (``Module.forward`` under ``no_grad()`` in a ``StepArena``,
   BN folded at load) is equivalent to the grad-enabled eval-mode forward —
@@ -90,38 +91,58 @@ class TestDefaultDtypeScope:
 # --------------------------------------------------------------------------- #
 # vectorized kernels vs their loop references
 # --------------------------------------------------------------------------- #
+def _in_both_dtypes(cases):
+    """Each ``(shape, *ints)`` case once in float64 and once in float32.
+
+    The float64 cases keep the ids they had before float32 joined
+    (``shape<i>-<ints>``); the float32 ids end in ``-float32``.
+    """
+    params = []
+    for dtype in (np.float64, np.float32):
+        for index, (shape, *ints) in enumerate(cases):
+            case_id = "-".join([f"shape{index}", *map(str, ints)])
+            if dtype is np.float32:
+                case_id += "-float32"
+            params.append(pytest.param(shape, *ints, dtype, id=case_id))
+    return params
+
+
 class TestVectorizedKernels:
     @pytest.mark.parametrize(
-        "shape,kernel,stride,dilation",
-        [
-            ((2, 3, 17), 3, 1, 1),
-            ((2, 3, 33), 3, 2, 2),
-            ((1, 2, 40), 5, 3, 1),
-            ((3, 1, 96), 3, 1, 4),
-        ],
+        "shape,kernel,stride,dilation,dtype",
+        _in_both_dtypes(
+            [
+                ((2, 3, 17), 3, 1, 1),
+                ((2, 3, 33), 3, 2, 2),
+                ((1, 2, 40), 5, 3, 1),
+                ((3, 1, 96), 3, 1, 4),
+            ]
+        ),
     )
-    def test_col2im_1d_bit_identical(self, shape, kernel, stride, dilation):
+    def test_col2im_1d_bit_identical(self, shape, kernel, stride, dilation, dtype):
         batch, channels, length = shape
         span = (kernel - 1) * dilation + 1
         out_t = (length - span) // stride + 1
-        cols = np.random.default_rng(1).normal(size=(batch, out_t, channels * kernel))
+        cols = np.random.default_rng(1).normal(size=(batch, out_t, channels * kernel)).astype(dtype)
         fast = F._col2im_1d(cols, shape, kernel, stride, dilation)
         reference = F._col2im_1d_reference(cols, shape, kernel, stride, dilation)
+        assert fast.dtype == reference.dtype == dtype
         assert np.array_equal(fast, reference)
 
     @pytest.mark.parametrize(
-        "shape,kernel,stride",
-        [((2, 3, 9, 9), 3, 1), ((2, 3, 16, 16), 3, 2), ((1, 2, 12, 12), 4, 3)],
+        "shape,kernel,stride,dtype",
+        _in_both_dtypes([((2, 3, 9, 9), 3, 1), ((2, 3, 16, 16), 3, 2), ((1, 2, 12, 12), 4, 3)]),
     )
-    def test_col2im_2d_bit_identical(self, shape, kernel, stride):
+    def test_col2im_2d_bit_identical(self, shape, kernel, stride, dtype):
         batch, channels, height, width = shape
         out_h = (height - kernel) // stride + 1
         out_w = (width - kernel) // stride + 1
         cols = np.random.default_rng(2).normal(
             size=(batch, out_h, out_w, channels * kernel * kernel)
-        )
+        ).astype(dtype)
         fast = F._col2im_2d(cols, shape, (kernel, kernel), (stride, stride))
         reference = F._col2im_2d_reference(cols, shape, (kernel, kernel), (stride, stride))
+        assert fast.dtype == reference.dtype == dtype
         assert np.array_equal(fast, reference)
 
     def test_col2im_1d_float32_round_trips_dtype(self):
