@@ -51,7 +51,7 @@ def test_fig8d_negative_transfer(benchmark):
 
         # (2) TS2Vec pre-trained on the merged multi-source UCR corpus
         multi_source = TS2Vec(make_baseline_config())
-        multi_source.pretrain_multi_source(corpus, max_samples=160, epochs=2)
+        multi_source.pretrain(corpus, max_samples=160, epochs=2)
         results["TS2Vec (UCR pre-train)"] = {
             dataset.name: multi_source.fine_tune(dataset, finetune).accuracy for dataset in datasets
         }

@@ -13,7 +13,7 @@ import pytest
 
 from benchmarks.conftest import make_baseline_config, print_table, run_once
 from repro.baselines import SimCLR, TLoss, TNC, TS2Vec, TSTCC
-from repro.evaluation import render_cd_diagram, run_case_by_case_comparison
+from repro.evaluation import render_cd_diagram, run_protocol
 
 BASELINE_CLASSES = {
     "TS2Vec": TS2Vec,
@@ -44,12 +44,11 @@ def test_table1_ucr_archive(benchmark, aimts_model, ucr_suite, finetune_config):
     """Table I (upper block): UCR-style univariate suite."""
 
     def experiment():
-        return run_case_by_case_comparison(
-            aimts_model,
-            _build_baselines(),
+        return run_protocol(
+            {"AimTS": aimts_model, **_build_baselines()},
             ucr_suite,
             finetune_config=finetune_config,
-            baseline_pretrain_epochs=2,
+            pretrain_kwargs={"epochs": 2},
         )
 
     comparison = run_once(benchmark, experiment)
@@ -70,12 +69,11 @@ def test_table1_uea_archive(benchmark, aimts_model, uea_suite, finetune_config):
     """Table I (lower block): UEA-style multivariate suite."""
 
     def experiment():
-        return run_case_by_case_comparison(
-            aimts_model,
-            _build_baselines(),
+        return run_protocol(
+            {"AimTS": aimts_model, **_build_baselines()},
             uea_suite,
             finetune_config=finetune_config,
-            baseline_pretrain_epochs=2,
+            pretrain_kwargs={"epochs": 2},
         )
 
     comparison = run_once(benchmark, experiment)

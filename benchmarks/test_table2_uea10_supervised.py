@@ -14,7 +14,7 @@ from benchmarks.conftest import make_finetune_config, print_table, run_once
 from repro.baselines import LinearClassifier, MiniRocket, Rocket, SupervisedCNN
 from repro.data import load_dataset
 from repro.data.archives import UEA10_TABLE2
-from repro.evaluation import run_case_by_case_comparison
+from repro.evaluation import ComparisonResult, run_protocol
 
 
 def _build_supervised_baselines():
@@ -38,9 +38,12 @@ def test_table2_supervised_comparison(benchmark, aimts_model):
     finetune_config = make_finetune_config(epochs=35)
 
     def experiment():
-        return run_case_by_case_comparison(
-            aimts_model, _build_supervised_baselines(), datasets, finetune_config=finetune_config
-        )
+        # the Table II protocol: AimTS fine-tunes with the shared config, while
+        # each supervised baseline trains with its own constructor recipe, so
+        # they run without a finetune_config
+        aimts = run_protocol({"AimTS": aimts_model}, datasets, finetune_config=finetune_config)
+        supervised = run_protocol(_build_supervised_baselines(), datasets)
+        return ComparisonResult({**aimts.accuracies, **supervised.accuracies})
 
     comparison = run_once(benchmark, experiment)
 

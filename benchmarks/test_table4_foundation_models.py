@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_table, run_once
-from repro.evaluation import run_multisource_comparison
+from repro.evaluation import run_protocol
 
 
 def _report(title, comparison):
@@ -24,8 +24,11 @@ def _report(title, comparison):
 @pytest.mark.benchmark(group="table4")
 def test_table4_ucr_foundation_models(benchmark, aimts_model, foundation_baselines, ucr_suite, finetune_config):
     def experiment():
-        return run_multisource_comparison(
-            aimts_model, foundation_baselines, ucr_suite, finetune_config=finetune_config
+        return run_protocol(
+            {"AimTS": aimts_model, **foundation_baselines},
+            ucr_suite,
+            protocol="multi_source",
+            finetune_config=finetune_config,
         )
 
     comparison = run_once(benchmark, experiment)
@@ -43,8 +46,11 @@ def test_table4_ucr_foundation_models(benchmark, aimts_model, foundation_baselin
 @pytest.mark.benchmark(group="table4")
 def test_table4_uea_foundation_models(benchmark, aimts_model, foundation_baselines, uea_suite, finetune_config):
     def experiment():
-        return run_multisource_comparison(
-            aimts_model, foundation_baselines, uea_suite, finetune_config=finetune_config
+        return run_protocol(
+            {"AimTS": aimts_model, **foundation_baselines},
+            uea_suite,
+            protocol="multi_source",
+            finetune_config=finetune_config,
         )
 
     comparison = run_once(benchmark, experiment)

@@ -12,7 +12,7 @@ import pytest
 from benchmarks.conftest import print_table, run_once
 from repro.data import load_dataset
 from repro.data.archives import FEWSHOT_DATASETS
-from repro.evaluation import run_fewshot_comparison
+from repro.evaluation import run_protocol
 
 RATIOS = (0.05, 0.15, 0.20)
 
@@ -22,8 +22,12 @@ def test_table5_fewshot_learning(benchmark, aimts_model, foundation_baselines, f
     datasets = [load_dataset(name, seed=3407, scale=1.0) for name in FEWSHOT_DATASETS]
 
     def experiment():
-        return run_fewshot_comparison(
-            aimts_model, foundation_baselines, datasets, ratios=RATIOS, finetune_config=finetune_config
+        return run_protocol(
+            {"AimTS": aimts_model, **foundation_baselines},
+            datasets,
+            protocol="few_shot",
+            ratios=RATIOS,
+            finetune_config=finetune_config,
         )
 
     results = run_once(benchmark, experiment)

@@ -40,7 +40,7 @@ def main() -> None:
     moment = MomentLike(
         BaselineConfig(repr_dim=24, proj_dim=12, hidden_channels=12, depth=2, series_length=64, batch_size=12, epochs=2)
     )
-    moment.pretrain_multi_source(corpus, max_samples=160)
+    moment.pretrain(corpus, max_samples=160)
 
     finetune = FineTuneConfig(epochs=20, learning_rate=3e-3)
     table = ResultTable(

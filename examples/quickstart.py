@@ -94,7 +94,7 @@ def main() -> None:
         downstream.train, callbacks=[EarlyStopping("loss", patience=3, min_delta=1e-3)]
     )
     print(f"Early-stopped fine-tune: {len(curve)}/{budget.epochs} epochs, "
-          f"final loss {curve.last()['loss']:.4f}")
+          f"final loss {curve[-1]:.4f}")
 
     # batch inference straight on the facade — no FineTuner internals needed
     new_series = downstream.test.X[:5]

@@ -25,8 +25,10 @@ manifest always contains:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -42,7 +44,8 @@ _FORMAT = "repro-bundle"
 
 
 class BundleFormatError(ValueError):
-    """Raised when a file is not a bundle or uses an unsupported schema."""
+    """Raised when a file is not a bundle, is damaged, or uses an unsupported
+    schema."""
 
 
 #: the shared ``.npz`` read-path convention (kept under its historical name —
@@ -99,14 +102,33 @@ def _check_manifest(manifest: dict, path: str) -> None:
         )
 
 
+@contextlib.contextmanager
+def _open_archive(path: str):
+    """``np.load`` of ``path`` as a context that closes the file on every exit.
+
+    What a truncated or corrupted archive makes ``zipfile`` and NumPy raise,
+    while opening or while the caller reads entries, is re-raised as
+    :class:`BundleFormatError`; a missing, unreadable or directory path keeps
+    its own ``OSError``.
+    """
+    try:
+        with open(path, "rb") as handle, np.load(handle) as archive:
+            yield archive
+    except (BundleFormatError, FileNotFoundError, PermissionError, IsADirectoryError):
+        raise
+    except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError, OSError) as exc:
+        raise BundleFormatError(f"{path!r} is not a readable bundle archive: {exc}") from exc
+
+
 def load_bundle(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
     """Read a bundle back as ``(arrays, manifest)``.
 
-    Raises :class:`BundleFormatError` for non-bundle archives, unsupported
-    schema versions, or dtype drift between save and load.
+    Raises :class:`BundleFormatError` for non-bundle, truncated or corrupted
+    archives, unsupported schema versions, or dtype drift between save and
+    load.
     """
     path = resolve_read_path(path)
-    with np.load(path) as archive:
+    with _open_archive(path) as archive:
         if MANIFEST_KEY not in archive.files:
             raise BundleFormatError(
                 f"{path!r} has no manifest; it is a legacy state-dict archive, "
@@ -136,7 +158,7 @@ def sub_state(state: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray
 def peek_manifest(path: str | os.PathLike) -> dict | None:
     """Return the manifest of ``path``, or ``None`` for legacy archives."""
     path = resolve_read_path(path)
-    with np.load(path) as archive:
+    with _open_archive(path) as archive:
         if MANIFEST_KEY not in archive.files:
             return None
         manifest = _decode_manifest(archive[MANIFEST_KEY])

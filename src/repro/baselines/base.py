@@ -27,14 +27,7 @@ from repro.core.finetuner import FineTuner, FineTuneResult
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.loaders import build_pretraining_pool, epoch_index_batches, z_normalize
 from repro.encoders import ProjectionHead, TSEncoder
-from repro.engine import (
-    DtypePolicy,
-    History,
-    LossCurve,
-    ProgressLogger,
-    Trainer,
-    TrainLoop,
-)
+from repro.engine import DtypePolicy, History, ProgressLogger, Trainer, TrainLoop
 from repro.nn import Adam, StepArena
 from repro.nn.inference import DEFAULT_SERVING_BATCH_SIZE
 from repro.nn.tensor import Tensor, default_dtype
@@ -233,15 +226,14 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         n_variables: int = 1,
         verbose: bool = False,
         callbacks=(),
-    ) -> LossCurve:
+    ) -> list[float]:
         """Self-supervised pre-training via the unified training engine.
 
         Accepts either an unlabeled pool ``(N, M, T)`` (case-by-case
         paradigm) or a list of datasets, which are merged into a common-shape
-        multi-source pool first (Fig. 8d paradigm).  Returns the per-epoch
-        loss curve as a :class:`repro.engine.LossCurve` — still a
-        ``list[float]`` (the seed return shape, kept as a deprecation shim)
-        that additionally exposes the structured history.  ``callbacks``
+        multi-source pool first (Fig. 8d paradigm).  ``epochs=None`` trains
+        ``config.epochs`` epochs.  Returns the per-epoch loss list; the
+        structured history is ``self.trainer.history``.  ``callbacks``
         accepts extra :class:`repro.engine.Callback` instances.
         """
         if not isinstance(corpus_or_X, np.ndarray):
@@ -259,7 +251,7 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
             # seeded subsample rather than head-truncation: raw pools are often
             # class-sorted, matching build_pretraining_pool's semantics
             X = X[np.sort(self._rng.choice(X.shape[0], size=max_samples, replace=False))]
-        epochs = epochs or self.config.epochs
+        epochs = epochs if epochs is not None else self.config.epochs
         optimizer = Adam(list(self.parameters()), lr=self.config.learning_rate)
         loop = _BaselinePretrainLoop(self, X)
         # a pool that broke (or was closed) in an earlier fit is replaced, not
@@ -313,7 +305,7 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         )
         self.trainer.fit(epochs)
         self._pretrained = True
-        return LossCurve(history.curve("loss"), history)
+        return history.curve("loss")
 
     def shutdown_workers(self) -> None:
         """Stop the persistent worker and producer pools (idempotent no-op
@@ -324,19 +316,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         if self._producer_pool is not None:
             self._producer_pool.close()
             self._producer_pool = None
-
-    def pretrain_multi_source(
-        self,
-        corpus: list[TimeSeriesDataset],
-        *,
-        n_variables: int = 1,
-        max_samples: int | None = None,
-        epochs: int | None = None,
-    ) -> list[float]:
-        """Pre-train on a merged multi-source pool (alias of :meth:`pretrain`)."""
-        return self.pretrain(
-            corpus, n_variables=n_variables, max_samples=max_samples, epochs=epochs
-        )
 
     # ------------------------------------------------------------- evaluation
     def fine_tune(

@@ -137,11 +137,6 @@ class Rocket(RidgePredictorMixin):
             history=[],
         )
 
-    def fit_and_evaluate(self, dataset: TimeSeriesDataset) -> float:
-        """Train on ``dataset.train`` and return test accuracy."""
-        self.fit(dataset.train.X, dataset.train.y)
-        return float((self.predict(dataset.test.X) == dataset.test.y).mean())
-
     # ------------------------------------------------------------ persistence
     def save(self, path) -> str:
         """Save a full-bundle checkpoint (see :mod:`repro.api.bundle`)."""

@@ -100,10 +100,6 @@ class SupervisedCNN(FineTunedPredictorMixin):
         self._label_map = np.arange(dataset.n_classes, dtype=np.int64)
         return result
 
-    def fit_and_evaluate(self, dataset: TimeSeriesDataset) -> float:
-        """Train on ``dataset.train`` and return test accuracy."""
-        return self.fine_tune(dataset).accuracy
-
     def encode(self, X: np.ndarray, *, batch_size: int = 64) -> np.ndarray:
         """Representations from the trained encoder (requires :meth:`fine_tune`)."""
         from repro.nn.inference import batched_infer
@@ -227,10 +223,6 @@ class LinearClassifier(RidgePredictorMixin):
             fit_seconds=elapsed,
             history=[],
         )
-
-    def fit_and_evaluate(self, dataset: TimeSeriesDataset) -> float:
-        """Train on ``dataset.train`` and return test accuracy."""
-        return self.fine_tune(dataset).accuracy
 
     # ------------------------------------------------------------ persistence
     def save(self, path) -> str:

@@ -8,9 +8,9 @@ instance-level part of the hierarchical loss (the timestamp-level terms
 collapse once representations are pooled over time, which is what our
 fixed-size encoder produces).
 
-It also exposes :meth:`SelfSupervisedBaseline.pretrain_multi_source`, used by
-the Fig. 8d experiment to show that naive multi-source pre-training of TS2Vec
-suffers negative transfer while AimTS does not.
+Pre-trained on a list of datasets (multi-source), it reproduces the Fig. 8d
+experiment: naive multi-source pre-training of TS2Vec suffers negative
+transfer while AimTS does not.
 """
 
 from __future__ import annotations

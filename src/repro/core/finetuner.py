@@ -20,7 +20,6 @@ from repro.encoders import ClassifierHead, TSEncoder
 from repro.engine import (
     DtypePolicy,
     History,
-    LossCurve,
     ProgressLogger,
     Trainer,
     TrainLoop,
@@ -117,14 +116,12 @@ class FineTuner:
 
     def fit(
         self, train: DatasetSplit, *, verbose: bool = False, callbacks=()
-    ) -> LossCurve:
+    ) -> list[float]:
         """Fine-tune on a labelled training split via the unified training engine.
 
-        Returns the per-epoch loss curve as a :class:`repro.engine.LossCurve`
-        — still a ``list[float]`` (the seed return shape, kept as a
-        deprecation shim) that additionally exposes the engine's structured
-        history (``curve.history``, ``curve.last()``).  ``callbacks`` accepts
-        extra :class:`repro.engine.Callback` instances, e.g.
+        Returns the per-epoch loss list; the structured history is
+        ``self.trainer.history``.  ``callbacks`` accepts extra
+        :class:`repro.engine.Callback` instances, e.g.
         :class:`~repro.engine.EarlyStopping`.
         """
         if train.y is None:
@@ -151,7 +148,7 @@ class FineTuner:
             step_arena=self.config.step_arena,
         )
         self.trainer.fit(self.config.epochs)
-        return LossCurve(history.curve("loss"), history)
+        return history.curve("loss")
 
     def predict_logits(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
         """Evaluation-mode class logits ``(n, n_classes)`` for ``(n, M, T)`` samples.

@@ -52,7 +52,7 @@ from repro.engine.callbacks import (
     LRSchedulerCallback,
     ProgressLogger,
 )
-from repro.engine.history import History, LossCurve
+from repro.engine.history import History
 from repro.engine.loop import TrainLoop, dropout_rngs, shard_arrays
 from repro.engine.parallel import (
     GradientWorkerPool,
@@ -78,7 +78,6 @@ __all__ = [
     "TrainState",
     "DtypePolicy",
     "History",
-    "LossCurve",
     "Callback",
     "LossHistory",
     "ProgressLogger",

@@ -1,10 +1,10 @@
 """Structured per-epoch training history shared by every loop in the repo.
 
 One :class:`History` instance records the engine's epoch-end metric logs as
-named curves.  The legacy return shapes of the migrated loops are kept alive
-as thin views over it: :class:`~repro.core.pretrainer.PretrainHistory`
-(attribute access) and :class:`LossCurve` (a ``list[float]`` subclass), so
-code written against the seed API keeps working unchanged.
+named curves.  ``FineTuner.fit`` and ``SelfSupervisedBaseline.pretrain``
+return its ``"loss"`` curve, a plain ``list[float]``;
+:class:`~repro.core.pretrainer.PretrainHistory` is an attribute-access view
+over it.
 """
 
 from __future__ import annotations
@@ -61,25 +61,3 @@ class History:
         inner = ", ".join(f"{key}[{len(values)}]" for key, values in self.metrics.items())
         return f"History({inner})"
 
-
-class LossCurve(list):
-    """A ``list[float]`` of per-epoch losses that also carries the full history.
-
-    Deprecation shim: ``FineTuner.fit`` and ``SelfSupervisedBaseline.pretrain``
-    historically returned a bare ``list[float]``; they now return this class,
-    which *is* that list (indexing, ``len``, equality all unchanged) while also
-    exposing the engine's structured :attr:`history` and :meth:`last` like
-    ``AimTSPretrainer.fit`` does.  Prefer the structured accessors — the bare
-    list shape is kept only for backward compatibility.
-    """
-
-    def __init__(self, values, history: History, metric: str = "loss"):
-        super().__init__(float(v) for v in values)
-        #: the full engine history this curve is one metric of
-        self.history = history
-        #: the metric name this list holds
-        self.metric = metric
-
-    def last(self) -> dict[str, float]:
-        """Final-epoch value of every recorded metric."""
-        return self.history.last()

@@ -57,8 +57,11 @@ producers re-run exactly the steps whose results were never consumed (their
 streams are step-keyed, so the replay is bit-identical), and a respawned
 gradient worker re-receives its shard message and recomputes the loss, a
 pure function of the shard and the broadcast parameters — the reduced
-gradient matches the no-crash run bit for bit.  Exhausting the restart
-budget raises :class:`WorkerError` as before (the trainer then degrades to the inline
+gradient matches the no-crash run bit for bit.  A child killed from outside
+(SIGKILL, the OOM killer) is noticed within about a second; its replacement
+reads a fresh queue, and a gradient worker's starts from the module buffers
+last pushed or pulled.  Exhausting the restart budget raises
+:class:`WorkerError` as before (the trainer then degrades to the inline
 path).  Fault-injection sites ``producer.step`` and ``worker.reduce``
 (:mod:`repro.utils.faults`) sit inside the child step handlers so chaos
 tests can kill children at exact step indices.
@@ -67,6 +70,7 @@ tests can kill children at exact step indices.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import pickle
 import random
 import time
@@ -393,6 +397,18 @@ def _estimate_nbytes(batch) -> int:
 # --------------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------------- #
+def _replace_queue(context, stale):
+    """A fresh queue for the replacement of a dead child.
+
+    A child killed while blocked in ``stale.get()`` never releases its reader
+    lock, so nothing can read ``stale`` again; its unread messages are
+    dropped.
+    """
+    stale.cancel_join_thread()
+    stale.close()
+    return context.Queue()
+
+
 def _module_buffer_state(named_modules: dict) -> dict[str, np.ndarray]:
     """Non-parameter state (e.g. BN running stats) of every named module."""
     state: dict[str, np.ndarray] = {}
@@ -441,12 +457,15 @@ def _worker_main(
     command_queue,
     result_queue,
     step_arena: bool = True,
+    buffer_state: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Entry point of one gradient worker process.
 
     Each step message carries a shard and a parameter version; the replica's
     ``batch_loss`` draws nothing at random, so a respawned worker that
-    re-receives a step recomputes the identical gradient.
+    re-receives a step recomputes the identical gradient.  ``buffer_state``
+    (a respawn's last pushed or pulled module buffers) is applied before the
+    worker reports ready, so a replacement keeps the BN running statistics.
     """
     from repro.nn.arena import StepArena, set_active_arena
     from repro.nn.tensor import Tensor, set_default_dtype
@@ -460,6 +479,8 @@ def _worker_main(
         buffer_pool = StepArena() if step_arena else None
         set_active_arena(buffer_pool)
         replica = factory()
+        if buffer_state is not None:
+            _apply_named_buffers(replica.named_modules(), buffer_state)
         layout = FlatLayout(replica.parameters())
         if layout.signature() != signature:
             raise RuntimeError(
@@ -586,6 +607,9 @@ class GradientWorkerPool:
         self._restarts_used = 0
         #: workers respawned over the pool's lifetime (observability)
         self.restart_count = 0
+        #: module buffers last pushed to or pulled from the workers; a
+        #: respawned worker starts from them
+        self._buffer_state: dict[str, np.ndarray] | None = None
 
         context = get_context(start_method)
         self._context = context
@@ -635,24 +659,20 @@ class GradientWorkerPool:
     def _respawn_worker(self, index: int) -> None:
         """Reap a dead worker and bring up a replacement under the same shard.
 
-        The replacement attaches to the same shared param/grad blocks and the
-        same command queue; its first step message re-broadcasts parameters
-        (``seen_version`` starts at -1), so no extra sync is needed.
+        The replacement attaches to the same shared param/grad blocks, starts
+        from the last pushed or pulled module buffers and reads a fresh
+        command queue: a worker killed while blocked in ``get()`` never
+        releases the old queue's reader lock, and the old queue's unread
+        messages must not run twice.  Its first step message re-broadcasts
+        parameters (``seen_version`` starts at -1), so no extra sync is
+        needed.
         """
-        import queue as queue_module
-
         process = self._processes[index]
         process.join(timeout=5.0)
         if process.is_alive():  # pragma: no cover - hung worker
             process.terminate()
             process.join(timeout=5.0)
-        # a worker that died before reading its command would leave the step
-        # message queued — drain so the replacement does not run it twice
-        while True:
-            try:
-                self._command_queues[index].get_nowait()
-            except (queue_module.Empty, OSError):
-                break
+        self._command_queues[index] = _replace_queue(self._context, self._command_queues[index])
         replacement = self._context.Process(
             target=_worker_main,
             args=(
@@ -665,6 +685,7 @@ class GradientWorkerPool:
                 self._command_queues[index],
                 self._result_queue,
                 self._step_arena,
+                self._buffer_state,
             ),
             daemon=True,
         )
@@ -686,24 +707,39 @@ class GradientWorkerPool:
         respawned — backoff, same shard index — and its original step
         message from ``resend`` is re-sent once the replacement reports
         ready; collection then continues until every shard replied.
+
+        The wait runs in one-second slices with a liveness check in each, so
+        a worker killed from outside is noticed within about a second; the
+        ``timeout`` bounds the wait on live workers and restarts after every
+        reply and every respawn.
         """
         import queue as queue_module
 
         remaining = dict(expected)
         replies: dict[int, object] = {}
+        deadline = time.monotonic() + self.timeout
         while remaining:
-            failed: list[int] = []
             try:
-                worker_index, kind, payload = self._result_queue.get(timeout=self.timeout)
+                message = self._result_queue.get(timeout=1.0)
             except queue_module.Empty:
+                message = None
                 dead = [i for i in remaining if not self._processes[i].is_alive()]
-                if not dead or resend is None or not self._may_restart(len(dead)):
+                if not dead and time.monotonic() < deadline:
+                    continue
+                with contextlib.suppress(queue_module.Empty):
+                    # a reply sent just before its worker died still counts
+                    message = self._result_queue.get_nowait()
+            if message is None:
+                if not dead:
                     self._broken = True
-                    raise WorkerError(
-                        f"timed out waiting for gradient workers (dead: {dead or 'none'})"
-                    ) from None
+                    raise WorkerError("timed out waiting for gradient workers (dead: none)")
+                if resend is None or not self._may_restart(len(dead)):
+                    self._broken = True
+                    raise WorkerError(f"gradient worker(s) {dead} died without a reply")
                 failed = dead
             else:
+                deadline = time.monotonic() + self.timeout
+                worker_index, kind, payload = message
                 if kind == "error":
                     if (
                         resend is None
@@ -733,6 +769,7 @@ class GradientWorkerPool:
                 self._restart_policy.pause(self._restarts_used - 1)
                 self._respawn_worker(worker_index)
                 remaining[worker_index] = "ready"
+            deadline = time.monotonic() + self.timeout
         return replies
 
     # --------------------------------------------------------------------- step
@@ -799,7 +836,7 @@ class GradientWorkerPool:
         """
         if self._closed or self._broken:
             return
-        state = _module_buffer_state(named_modules)
+        state = self._buffer_state = _module_buffer_state(named_modules)
         for queue in self._command_queues:
             queue.put(("push_buffers", state))
         self._collect({index: "pushed" for index in range(self.n_workers)})
@@ -816,7 +853,8 @@ class GradientWorkerPool:
         if self._closed or self._broken:
             return
         self._command_queues[0].put(("buffers",))
-        _apply_named_buffers(named_modules, self._collect({0: "buffers"})[0])
+        self._buffer_state = self._collect({0: "buffers"})[0]
+        _apply_named_buffers(named_modules, self._buffer_state)
 
     # -------------------------------------------------------------------- close
     def close(self) -> None:
@@ -1038,21 +1076,19 @@ class ProducerPool:
 
         Producers are identity-free pullers on one shared work queue, so the
         cheapest correct recovery is to cycle the whole set: drain the work
-        queue (no pre-crash produce message may reach a fresh producer),
-        stop/reap every process, discard queued results, bump the generation
-        fence and respawn to the target count.  The caller then resubmits
-        the in-flight steps it still needs.
+        queue (so live producers reach their stop), stop/reap every process,
+        replace the work queue (no pre-crash message may reach a fresh
+        producer), discard queued results, bump the generation fence and
+        respawn to the target count.  The caller then resubmits the
+        in-flight steps it still needs.
         """
         import queue as queue_module
 
-        def drain_work_queue():
-            while True:
-                try:
-                    self._work_queue.get_nowait()
-                except (queue_module.Empty, OSError):
-                    return
-
-        drain_work_queue()
+        while True:
+            try:
+                self._work_queue.get_nowait()
+            except (queue_module.Empty, OSError):
+                break
         for process in self._processes.values():
             if process.is_alive():
                 try:
@@ -1065,9 +1101,9 @@ class ProducerPool:
                 process.terminate()
                 process.join(timeout=2.0)
         self._processes.clear()
-        # a producer reaped mid-step may have left its stop unconsumed — a
-        # fresh producer must not eat it and exit
-        drain_work_queue()
+        # a killed producer may hold the work queue's reader lock, and one
+        # reaped mid-step may have left its stop unconsumed
+        self._work_queue = _replace_queue(self._context, self._work_queue)
         while True:
             try:
                 self._result_queue.get(timeout=0.05)

@@ -21,9 +21,6 @@ from repro.evaluation.metrics import (
 from repro.evaluation.protocols import (
     PROTOCOLS,
     ComparisonResult,
-    run_case_by_case_comparison,
-    run_fewshot_comparison,
-    run_multisource_comparison,
     run_protocol,
 )
 from repro.evaluation.ranking import (
@@ -55,9 +52,6 @@ __all__ = [
     "ComparisonResult",
     "PROTOCOLS",
     "run_protocol",
-    "run_case_by_case_comparison",
-    "run_multisource_comparison",
-    "run_fewshot_comparison",
     "EfficiencyReport",
     "measure_finetune_efficiency",
     "alignment",

@@ -13,17 +13,9 @@ list) under one of the three paper paradigms:
 * ``"few_shot"`` — the multi-source protocol repeated per label ratio
   (Table V).
 
-The original three protocol functions (:func:`run_case_by_case_comparison`,
-:func:`run_multisource_comparison`, :func:`run_fewshot_comparison`) are thin
-wrappers over the same engine and keep their legacy semantics, with one
-deliberate refinement: estimators that enter the case-by-case protocol
-*already pre-trained* (the typical multi-source AimTS) are never re-pretrained
-per dataset — the old code special-cased AimTS; the new engine generalises the
-exemption to any pre-trained estimator.
-
-All protocol functions return ``{method: {dataset: accuracy}}`` dictionaries
-that plug directly into :mod:`repro.evaluation.metrics` and
-:mod:`repro.evaluation.ranking`.
+Results carry ``{method: {dataset: accuracy}}`` dictionaries
+(``ComparisonResult.accuracies``) that plug directly into
+:mod:`repro.evaluation.metrics` and :mod:`repro.evaluation.ranking`.
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.config import FineTuneConfig
-from repro.core.model import AimTS
 from repro.data.dataset import TimeSeriesDataset
 from repro.evaluation.metrics import summarize_methods
 
@@ -102,14 +93,13 @@ def _resolve_corpus(pretrain_corpus, corpus_kwargs: dict):
 
 
 # ------------------------------------------------------------------- engine
-def _supports_pretraining(estimator) -> bool:
-    """Whether the estimator's ``pretrain`` does real work.
-
-    Falls back to ``hasattr(estimator, "pretrain")`` for duck-typed objects
-    written against the pre-unification contract, which exposed ``pretrain``
-    only when pre-training was meaningful.
-    """
-    return bool(getattr(estimator, "supports_pretraining", hasattr(estimator, "pretrain")))
+def _unpretrained(estimators: dict[str, object]) -> list[str]:
+    """Names of the estimators with a pre-training stage that has not run."""
+    return [
+        name
+        for name, estimator in estimators.items()
+        if estimator.supports_pretraining and not getattr(estimator, "is_pretrained", False)
+    ]
 
 
 def _run_comparison(
@@ -120,49 +110,23 @@ def _run_comparison(
     finetune_config: FineTuneConfig | None,
     label_ratio: float | None,
     pretrain_kwargs: dict,
-    config_free_when_unpretrainable: bool,
     verbose: bool,
     tag: str,
-    already_pretrained: frozenset[str] = frozenset(),
 ) -> ComparisonResult:
     """Shared fine-tune/evaluate loop for every protocol flavour.
 
     ``case_by_case`` re-pretrains, per dataset, every estimator that supports
     pre-training and entered the protocol un-pretrained (snapshot taken up
     front, so a pre-trained AimTS keeps its multi-source weights).
-    ``config_free_when_unpretrainable`` reproduces the legacy behaviour where
-    supervised / closed-form baselines trained with their own built-in
-    hyper-parameters instead of the shared ``finetune_config``.  Duck-typed
-    objects exposing only ``fit_and_evaluate(dataset)`` (the pre-unification
-    baseline contract) are still supported, with their own hyper-parameters.
     """
-    pretrained_at_start = {
-        name: name in already_pretrained or bool(getattr(est, "is_pretrained", False))
-        for name, est in estimators.items()
-    }
+    pretrain_per_dataset = set(_unpretrained(estimators)) if case_by_case else set()
     accuracies: dict[str, dict[str, float]] = {}
     for name, estimator in estimators.items():
         accuracies[name] = {}
-        pretrainable = _supports_pretraining(estimator)
         for dataset in datasets:
-            if not hasattr(estimator, "fine_tune"):  # legacy duck-typed objects
-                if label_ratio is not None:
-                    raise TypeError(
-                        f"estimator {name!r} only exposes fit_and_evaluate() and "
-                        "cannot honour label_ratio; implement fine_tune() for "
-                        "few-shot protocols"
-                    )
-                accuracy = estimator.fit_and_evaluate(dataset)
-                accuracies[name][dataset.name] = accuracy
-                if verbose:
-                    print(f"[{tag}] {name} on {dataset.name}: {accuracy:.3f}")
-                continue
-            if case_by_case and pretrainable and not pretrained_at_start[name]:
+            if name in pretrain_per_dataset:
                 estimator.pretrain(dataset.train.X, **pretrain_kwargs)
-            config = finetune_config
-            if config_free_when_unpretrainable and not pretrainable:
-                config = None
-            result = estimator.fine_tune(dataset, config, label_ratio=label_ratio)
+            result = estimator.fine_tune(dataset, finetune_config, label_ratio=label_ratio)
             accuracies[name][dataset.name] = result.accuracy
             if verbose:
                 print(f"[{tag}] {name} on {dataset.name}: {result.accuracy:.3f}")
@@ -198,6 +162,10 @@ def run_protocol(
         Corpus for the multi-source protocols: a corpus source name
         (``"monash"``), a dataset list, or a raw pool array.  Estimators that
         are already pre-trained are left untouched.
+    finetune_config:
+        Passed to every estimator's ``fine_tune``.  ``None`` lets each
+        estimator use its own default recipe (a supervised baseline's
+        constructor hyper-parameters, for example).
     pretrain_kwargs:
         Extra keywords for ``estimator.pretrain`` (e.g. ``max_samples``,
         ``epochs``); ``n_datasets`` / ``seed`` are routed to the corpus
@@ -234,26 +202,13 @@ def run_protocol(
         )
     corpus = _resolve_corpus(pretrain_corpus, corpus_kwargs)
 
-    corpus_pretrained = set()
     if corpus is not None:
-        for name, estimator in resolved.items():
-            if _supports_pretraining(estimator) and not getattr(
-                estimator, "is_pretrained", False
-            ):
-                if verbose:
-                    print(f"[{protocol}] pre-training {name} on the shared corpus")
-                estimator.pretrain(corpus, **pretrain_kwargs)
-                # recorded explicitly so duck-typed estimators without an
-                # is_pretrained attribute are not re-pretrained per dataset
-                corpus_pretrained.add(name)
+        for name in _unpretrained(resolved):
+            if verbose:
+                print(f"[{protocol}] pre-training {name} on the shared corpus")
+            resolved[name].pretrain(corpus, **pretrain_kwargs)
     elif protocol in ("multi_source", "few_shot"):
-        unpretrained = [
-            name
-            for name, estimator in resolved.items()
-            if _supports_pretraining(estimator)
-            and hasattr(estimator, "is_pretrained")
-            and not estimator.is_pretrained
-        ]
+        unpretrained = _unpretrained(resolved)
         if unpretrained:
             warnings.warn(
                 f"{protocol} protocol without pretrain_corpus: {unpretrained} "
@@ -266,9 +221,7 @@ def run_protocol(
     common = dict(
         finetune_config=finetune_config,
         pretrain_kwargs=pretrain_kwargs,
-        config_free_when_unpretrainable=False,
         verbose=verbose,
-        already_pretrained=frozenset(corpus_pretrained),
     )
     if protocol == "few_shot":
         return {
@@ -290,93 +243,3 @@ def run_protocol(
         tag=protocol.replace("_", "-"),
         **common,
     )
-
-
-# ------------------------------------------------------------ legacy facades
-def run_case_by_case_comparison(
-    aimts: AimTS,
-    baselines: dict[str, object],
-    datasets: list[TimeSeriesDataset],
-    *,
-    finetune_config: FineTuneConfig | None = None,
-    baseline_pretrain_epochs: int | None = None,
-    verbose: bool = False,
-) -> ComparisonResult:
-    """Compare a pre-trained AimTS model against case-by-case baselines.
-
-    Parameters
-    ----------
-    aimts:
-        An already pre-trained :class:`AimTS` model (multi-source paradigm).
-    baselines:
-        Mapping from display name to baseline estimator.  Estimators that
-        support pre-training and enter un-pretrained are pre-trained on each
-        dataset's own training split (ones that are already pre-trained keep
-        their weights, like ``aimts`` itself); supervised / closed-form
-        baselines train with their built-in hyper-parameters, as before the
-        unified API.
-    datasets:
-        The downstream evaluation suite.
-    """
-    return _run_comparison(
-        {"AimTS": aimts, **baselines},
-        datasets,
-        case_by_case=True,
-        finetune_config=finetune_config,
-        label_ratio=None,
-        pretrain_kwargs={"epochs": baseline_pretrain_epochs},
-        config_free_when_unpretrainable=True,
-        verbose=verbose,
-        tag="case-by-case",
-    )
-
-
-def run_multisource_comparison(
-    aimts: AimTS,
-    pretrained_baselines: dict[str, object],
-    datasets: list[TimeSeriesDataset],
-    *,
-    finetune_config: FineTuneConfig | None = None,
-    label_ratio: float | None = None,
-    verbose: bool = False,
-) -> ComparisonResult:
-    """Compare multi-source pre-trained models (AimTS vs. foundation baselines).
-
-    Every baseline in ``pretrained_baselines`` must already have been
-    pre-trained (e.g. via ``pretrain(corpus)``); this protocol only runs
-    the downstream fine-tuning, optionally with a few-shot ``label_ratio``.
-    """
-    return _run_comparison(
-        {"AimTS": aimts, **pretrained_baselines},
-        datasets,
-        case_by_case=False,
-        finetune_config=finetune_config,
-        label_ratio=label_ratio,
-        pretrain_kwargs={},
-        config_free_when_unpretrainable=False,
-        verbose=verbose,
-        tag="multi-source",
-    )
-
-
-def run_fewshot_comparison(
-    aimts: AimTS,
-    pretrained_baselines: dict[str, object],
-    datasets: list[TimeSeriesDataset],
-    ratios: tuple[float, ...] = (0.05, 0.15, 0.20),
-    *,
-    finetune_config: FineTuneConfig | None = None,
-    verbose: bool = False,
-) -> dict[float, ComparisonResult]:
-    """Few-shot learning protocol (Table V): one comparison per label ratio."""
-    results = {}
-    for ratio in ratios:
-        results[ratio] = run_multisource_comparison(
-            aimts,
-            pretrained_baselines,
-            datasets,
-            finetune_config=finetune_config,
-            label_ratio=ratio,
-            verbose=verbose,
-        )
-    return results

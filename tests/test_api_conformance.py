@@ -8,9 +8,13 @@ full-bundle round trip.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Estimator, estimator_names, load_estimator, make_estimator
 from repro.core.config import FineTuneConfig
 from repro.core.finetuner import FineTuneResult
@@ -55,6 +59,22 @@ def conformance_dataset():
 @pytest.fixture(scope="module")
 def pretrain_pool():
     return np.random.default_rng(0).normal(size=(10, 1, 32))
+
+
+#: ``repro`` and every package under it
+PACKAGES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_exports_resolve_once(package):
+    """Every ``__all__`` name resolves and is listed once, so deleting a name
+    without its export (or exporting it twice) fails here."""
+    module = importlib.import_module(package)
+    exported = list(module.__all__)
+    assert sorted({n for n in exported if exported.count(n) > 1}) == []
+    assert [name for name in exported if not hasattr(module, name)] == []
 
 
 def test_every_estimator_has_tiny_overrides():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,40 @@ class TestBundleFormat:
         path = save_bundle(tmp_path / "anon", {"a": np.zeros(1)}, {})
         with pytest.raises(BundleFormatError, match="does not name its estimator"):
             load_estimator(path)
+
+    def test_damaged_archive_raises_format_error_or_reads_intact(self, tmp_path):
+        """Every single-byte flip and every 7th truncation of a saved bundle
+        either raises BundleFormatError or reads back exactly what was saved."""
+        arrays = {"a": np.arange(6, dtype=np.float32), "b": np.eye(3)}
+        path = save_bundle(tmp_path / "bundle", arrays, {"estimator": "demo"})
+        _, manifest = load_bundle(path)
+        raw = Path(path).read_bytes()
+        flips = [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :] for i in range(len(raw))]
+        truncations = [raw[:length] for length in range(0, len(raw), 7)]
+        damaged = tmp_path / "damaged.npz"
+        for data in flips + truncations:
+            damaged.write_bytes(data)
+            try:
+                loaded, loaded_manifest = load_bundle(damaged)
+            except BundleFormatError:
+                pass
+            else:
+                assert loaded.keys() == arrays.keys()
+                for key, value in arrays.items():
+                    assert loaded[key].dtype == value.dtype
+                    np.testing.assert_array_equal(loaded[key], value)
+                assert loaded_manifest == manifest
+            try:
+                peeked = peek_manifest(damaged)
+            except BundleFormatError:
+                pass
+            else:
+                # a flip that renames the manifest entry reads as a legacy archive
+                assert peeked in (manifest, None)
+        with pytest.raises(FileNotFoundError):
+            load_bundle(tmp_path / "missing.npz")
+        with pytest.raises(FileNotFoundError):
+            peek_manifest(tmp_path / "missing.npz")
 
 
 class TestFullBundleContents:

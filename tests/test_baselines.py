@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,10 +104,10 @@ class TestSelfSupervisedBaselines:
 
 
 class TestMultiSourceBaselines:
-    def test_pretrain_multi_source(self, baseline_config, finetune_config, small_dataset):
+    def test_pretrain_on_multi_source_corpus(self, baseline_config, finetune_config, small_dataset):
         corpus = load_pretraining_corpus("monash", n_datasets=2, seed=0)
         baseline = MomentLike(baseline_config)
-        curve = baseline.pretrain_multi_source(corpus, max_samples=12, epochs=1)
+        curve = baseline.pretrain(corpus, max_samples=12, epochs=1)
         assert len(curve) == 1
         result = baseline.fine_tune(small_dataset, finetune_config, label_ratio=0.5)
         assert 0.0 <= result.accuracy <= 1.0
@@ -121,21 +123,28 @@ class TestMultiSourceBaselines:
     def test_ts2vec_supports_multi_source_pretraining(self, baseline_config):
         corpus = load_pretraining_corpus("monash", n_datasets=2, seed=0)
         baseline = TS2Vec(baseline_config)
-        curve = baseline.pretrain_multi_source(corpus, max_samples=10, epochs=1)
+        curve = baseline.pretrain(corpus, max_samples=10, epochs=1)
         assert len(curve) == 1
+
+
+class TestPretrainEpochs:
+    def test_zero_epochs_trains_none(self, baseline_config, small_dataset):
+        # epochs=0 is an explicit count, as for AimTS, not "use the default"
+        baseline = TS2Vec(dataclasses.replace(baseline_config, epochs=2))
+        assert baseline.pretrain(small_dataset.train.X, epochs=0) == []
 
 
 class TestRocketFamily:
     def test_rocket_learns_separable_dataset(self, small_dataset):
-        accuracy = Rocket(n_kernels=80, seed=0).fit_and_evaluate(small_dataset)
+        accuracy = Rocket(n_kernels=80, seed=0).fine_tune(small_dataset).accuracy
         assert accuracy > 0.7
 
     def test_minirocket_learns_separable_dataset(self, small_dataset):
-        accuracy = MiniRocket(n_kernels=80, seed=0).fit_and_evaluate(small_dataset)
+        accuracy = MiniRocket(n_kernels=80, seed=0).fine_tune(small_dataset).accuracy
         assert accuracy > 0.7
 
     def test_rocket_multivariate(self, small_multivariate_dataset):
-        accuracy = Rocket(n_kernels=60, seed=0).fit_and_evaluate(small_multivariate_dataset)
+        accuracy = Rocket(n_kernels=60, seed=0).fine_tune(small_multivariate_dataset).accuracy
         assert accuracy > 1.0 / small_multivariate_dataset.n_classes
 
     def test_rocket_predict_before_fit_raises(self, small_dataset):
@@ -156,8 +165,8 @@ class TestRocketFamily:
         assert np.all((features >= 0) & (features <= 1))
 
     def test_rocket_deterministic_given_seed(self, small_dataset):
-        a = Rocket(n_kernels=40, seed=1).fit_and_evaluate(small_dataset)
-        b = Rocket(n_kernels=40, seed=1).fit_and_evaluate(small_dataset)
+        a = Rocket(n_kernels=40, seed=1).fine_tune(small_dataset).accuracy
+        b = Rocket(n_kernels=40, seed=1).fine_tune(small_dataset).accuracy
         assert a == pytest.approx(b)
 
     def test_refit_after_fine_tune_clears_stale_label_map(
@@ -185,11 +194,11 @@ class TestRocketFamily:
 
 class TestSupervisedBaselines:
     def test_supervised_cnn_learns(self, small_dataset):
-        accuracy = SupervisedCNN(epochs=15, hidden_channels=8, repr_dim=16, seed=0).fit_and_evaluate(small_dataset)
+        accuracy = SupervisedCNN(epochs=15, hidden_channels=8, repr_dim=16, seed=0).fine_tune(small_dataset).accuracy
         assert accuracy > 0.6
 
     def test_linear_classifier_learns(self, small_dataset):
-        accuracy = LinearClassifier().fit_and_evaluate(small_dataset)
+        accuracy = LinearClassifier().fine_tune(small_dataset).accuracy
         assert accuracy > 0.6
 
     def test_linear_classifier_predict_before_fit(self, small_dataset):
@@ -197,5 +206,5 @@ class TestSupervisedBaselines:
             LinearClassifier().predict(small_dataset.test.X)
 
     def test_linear_classifier_multiclass(self, small_multivariate_dataset):
-        accuracy = LinearClassifier().fit_and_evaluate(small_multivariate_dataset)
+        accuracy = LinearClassifier().fine_tune(small_multivariate_dataset).accuracy
         assert accuracy > 1.0 / small_multivariate_dataset.n_classes

@@ -15,7 +15,6 @@ from repro.engine import (
     GradAccumulation,
     GradClip,
     History,
-    LossCurve,
     LossHistory,
     LRSchedulerCallback,
     ProgressLogger,
@@ -111,15 +110,6 @@ class TestHistory:
         history.append({"loss": 1.25})
         restored = History().load(history.metrics)
         assert restored.metrics == history.metrics
-
-    def test_loss_curve_is_a_list(self):
-        history = History({"loss": [3.0, 2.0], "learning_rate": [0.1, 0.1]})
-        curve = LossCurve(history.curve("loss"), history)
-        assert isinstance(curve, list)
-        assert curve == [3.0, 2.0]
-        assert curve[-1] == 2.0
-        assert curve.last()["loss"] == 2.0
-        assert curve.history is history
 
 
 class TestTrainerFit:

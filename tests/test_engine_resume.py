@@ -26,7 +26,7 @@ from repro.core.finetuner import FineTuner
 from repro.core.pretrainer import AimTSPretrainer, PretrainHistory
 from repro.data.archives import make_dataset
 from repro.encoders import TSEncoder
-from repro.engine import Checkpointer, EarlyStopping, History, LossCurve
+from repro.engine import Checkpointer, EarlyStopping, History
 
 # --------------------------------------------------------------------------- #
 # golden curves: fine-tuning recorded from the seed (pre-engine)
@@ -100,7 +100,7 @@ class TestSeedCurveReproduction:
 
 
 class TestHistoryShims:
-    """Old return shapes survive as views over the engine history."""
+    """The loops' return values are views over the engine history."""
 
     def test_pretrain_history_is_engine_view(self):
         history = AimTSPretrainer(pretrain_config(epochs=1)).fit(make_pool())
@@ -123,10 +123,9 @@ class TestHistoryShims:
         )
         curve = finetuner.fit(dataset.train)
         assert isinstance(curve, list)
-        assert isinstance(curve, LossCurve)
         assert len(curve) == 2
-        assert curve.last()["loss"] == curve[-1]
-        assert curve.history.curve("learning_rate") == [
+        assert curve == finetuner.trainer.history.curve("loss")
+        assert finetuner.trainer.history.curve("learning_rate") == [
             finetuner.config.learning_rate
         ] * 2
 
@@ -147,8 +146,8 @@ class TestHistoryShims:
             )
         )
         curve = baseline.pretrain(make_pool(), epochs=1)
-        assert isinstance(curve, list) and isinstance(curve, LossCurve)
-        assert curve.last()["loss"] == curve[-1]
+        assert isinstance(curve, list) and len(curve) == 1
+        assert curve == baseline.trainer.history.curve("loss")
 
 
 class TestBitIdenticalResume:

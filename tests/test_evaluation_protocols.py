@@ -8,12 +8,7 @@ from repro.baselines import BaselineConfig, LinearClassifier, MomentLike, TS2Vec
 from repro.core import AimTS, AimTSConfig, FineTuneConfig
 from repro.data import load_pretraining_corpus
 from repro.data.archives import make_dataset
-from repro.evaluation import (
-    run_case_by_case_comparison,
-    run_fewshot_comparison,
-    run_multisource_comparison,
-    run_protocol,
-)
+from repro.evaluation import run_protocol
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +44,8 @@ class TestCaseByCaseProtocol:
     def test_accuracies_for_all_methods_and_datasets(self, protocol_setup):
         model, datasets, finetune, baseline_config = protocol_setup
         baselines = {"TS2Vec": TS2Vec(baseline_config), "Linear": LinearClassifier()}
-        comparison = run_case_by_case_comparison(
-            model, baselines, datasets, finetune_config=finetune, baseline_pretrain_epochs=1
+        comparison = run_protocol(
+            {"AimTS": model, **baselines}, datasets, finetune_config=finetune, pretrain_kwargs={"epochs": 1}
         )
         assert set(comparison.accuracies) == {"AimTS", "TS2Vec", "Linear"}
         for per_dataset in comparison.accuracies.values():
@@ -63,33 +58,46 @@ class TestMultiSourceProtocol:
     def test_pretrained_baseline_comparison(self, protocol_setup):
         model, datasets, finetune, baseline_config = protocol_setup
         moment = MomentLike(baseline_config)
-        moment.pretrain_multi_source(load_pretraining_corpus("monash", n_datasets=2, seed=0), max_samples=12, epochs=1)
-        comparison = run_multisource_comparison(model, {"MOMENT": moment}, datasets, finetune_config=finetune)
+        moment.pretrain(load_pretraining_corpus("monash", n_datasets=2, seed=0), max_samples=12, epochs=1)
+        comparison = run_protocol(
+            {"AimTS": model, "MOMENT": moment}, datasets, protocol="multi_source", finetune_config=finetune
+        )
         assert set(comparison.accuracies) == {"AimTS", "MOMENT"}
 
     def test_fewshot_protocol_returns_one_result_per_ratio(self, protocol_setup):
         model, datasets, finetune, baseline_config = protocol_setup
         moment = MomentLike(baseline_config)
-        moment.pretrain_multi_source(load_pretraining_corpus("monash", n_datasets=2, seed=0), max_samples=12, epochs=1)
-        results = run_fewshot_comparison(
-            model, {"MOMENT": moment}, datasets, ratios=(0.25, 0.5), finetune_config=finetune
+        moment.pretrain(load_pretraining_corpus("monash", n_datasets=2, seed=0), max_samples=12, epochs=1)
+        results = run_protocol(
+            {"AimTS": model, "MOMENT": moment},
+            datasets,
+            protocol="few_shot",
+            ratios=(0.25, 0.5),
+            finetune_config=finetune,
         )
         assert set(results) == {0.25, 0.5}
         for comparison in results.values():
             assert "AimTS" in comparison.accuracies
 
 
-class _FakePretrainedAimTS:
-    """Stand-in for a pre-trained AimTS in wrapper-semantics tests."""
+class _RecordingEstimator:
+    """Estimator stand-in that records its ``pretrain`` calls."""
 
-    name = "AimTS"
     supports_pretraining = True
-    is_pretrained = True
+
+    def __init__(self, name, *, is_pretrained):
+        self.name = name
+        self.is_pretrained = is_pretrained
+        self.pretrain_calls = 0
+
+    def pretrain(self, corpus_or_X, **kwargs):
+        self.pretrain_calls += 1
+        self.is_pretrained = True
 
     def fine_tune(self, dataset, config=None, *, label_ratio=None):
         from repro.core.finetuner import FineTuneResult
 
-        return FineTuneResult(dataset.name, 1.0, 1.0, 1, 0.0)
+        return FineTuneResult(dataset.name, 0.5, 0.5, 1, 0.0)
 
 
 class TestRunProtocol:
@@ -176,43 +184,12 @@ class TestRunProtocol:
         comparison = run_protocol("linear", "ucr", finetune_config=finetune)
         assert len(comparison.accuracies["Linear"]) > 0
 
-    def test_legacy_fit_and_evaluate_only_objects_still_supported(self, protocol_setup):
-        """Duck-typed baselines exposing only fit_and_evaluate(dataset) keep working."""
+    def test_case_by_case_pretrains_only_fresh_estimators(self, protocol_setup):
+        """A pre-trained estimator keeps its weights; one that enters
+        un-pretrained is pre-trained once on each dataset's training split."""
         _, datasets, finetune, _ = protocol_setup
-
-        class ConstantBaseline:
-            name = "Constant"
-
-            def fit_and_evaluate(self, dataset):
-                return 0.5
-
-        comparison = run_protocol(ConstantBaseline(), datasets, finetune_config=finetune)
-        assert all(v == 0.5 for v in comparison.accuracies["Constant"].values())
-        # ...but they cannot silently ignore a few-shot label_ratio
-        with pytest.raises(TypeError, match="cannot honour label_ratio"):
-            run_protocol(
-                ConstantBaseline(), datasets, protocol="few_shot", ratios=(0.5,)
-            )
-
-    def test_old_contract_pretrain_duck_types_still_pretrained_case_by_case(
-        self, protocol_setup
-    ):
-        """Objects with pretrain+fine_tune but no supports_pretraining attr count as pretrainable."""
-        _, datasets, finetune, _ = protocol_setup
-        calls = []
-
-        class OldContract:
-            name = "Old"
-
-            def pretrain(self, X, *, epochs=None):
-                calls.append("pretrain")
-
-            def fine_tune(self, dataset, config=None, *, label_ratio=None):
-                from repro.core.finetuner import FineTuneResult
-
-                return FineTuneResult(dataset.name, 0.5, 0.5, 1, 0.0)
-
-        run_case_by_case_comparison(
-            _FakePretrainedAimTS(), {"Old": OldContract()}, datasets, finetune_config=finetune
-        )
-        assert calls == ["pretrain"] * len(datasets)
+        aimts = _RecordingEstimator("AimTS", is_pretrained=True)
+        fresh = _RecordingEstimator("Fresh", is_pretrained=False)
+        run_protocol([aimts, fresh], datasets, finetune_config=finetune)
+        assert aimts.pretrain_calls == 0
+        assert fresh.pretrain_calls == len(datasets)

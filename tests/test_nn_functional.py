@@ -164,6 +164,22 @@ class TestConvolutions:
         assert out.item() == pytest.approx(9.0)
 
 
+def _check_against_finite_differences(node, arrays, rng, arena):
+    """Autograd gradients of ``sum(node(*inputs) * g)`` for every input array
+    against central differences, with the node run under a fresh arena or
+    none; ``g`` is drawn from ``rng``."""
+    g = rng.normal(size=node(*(Tensor(a) for a in arrays)).shape)
+
+    def scalar():
+        return float((node(*(Tensor(a) for a in arrays)).data * g).sum())
+
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with use_arena(StepArena()) if arena else contextlib.nullcontext():
+        (node(*tensors) * Tensor(g)).sum().backward()
+    for array, tensor in zip(arrays, tensors):
+        _numeric_check(scalar, array, tensor.grad)
+
+
 def _check_conv_against_finite_differences(conv, seed, x_shape, w_shape, relu, arena, **kwargs):
     """Autograd x/weight/bias gradients of ``sum(conv(x, w, b) * g)`` against
     central differences, with the node run under a fresh arena or none."""
@@ -174,17 +190,9 @@ def _check_conv_against_finite_differences(conv, seed, x_shape, w_shape, relu, a
     pre_activation = conv(Tensor(x), Tensor(w), Tensor(b), **kwargs).data
     # the finite differences must not step across the ReLU's kink
     assume(not relu or np.abs(pre_activation).min() > 1e-3)
-    g = rng.normal(size=pre_activation.shape)
-
-    def scalar():
-        return float((conv(Tensor(x), Tensor(w), Tensor(b), relu=relu, **kwargs).data * g).sum())
-
-    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    with use_arena(StepArena()) if arena else contextlib.nullcontext():
-        (conv(tx, tw, tb, relu=relu, **kwargs) * Tensor(g)).sum().backward()
-    _numeric_check(scalar, x, tx.grad)
-    _numeric_check(scalar, w, tw.grad)
-    _numeric_check(scalar, b, tb.grad)
+    _check_against_finite_differences(
+        lambda x, w, b: conv(x, w, b, relu=relu, **kwargs), [x, w, b], rng, arena
+    )
 
 
 class TestConvGradientProperties:
@@ -234,6 +242,102 @@ class TestConvGradientProperties:
             F.conv2d, seed, (batch, in_channels, height, width), (out_channels, in_channels, *kernel),
             relu, arena, stride=stride, padding=padding,
         )
+
+
+class TestFusedKernelGradientProperties:
+    """float64 batch norm, pooling and ``add_relu`` gradients, arena on and
+    off, against finite differences."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 3),
+        spatial=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+        arena=st.booleans(),
+    )
+    def test_batch_norm_train(self, seed, batch, channels, spatial, arena):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, *spatial))
+        axes = (0, *range(2, x.ndim))  # (0, 2) for BatchNorm1d, (0, 2, 3) for 2d
+        shape = (1, channels, *(1,) * len(spatial))
+        # a near-constant channel curves the normalisation beyond the differences
+        assume(x.var(axis=axes).min() > 1e-2)
+        _check_against_finite_differences(
+            lambda x, w, b: F.batch_norm_train(x, w, b, axes=axes, shape=shape, eps=1e-5)[0],
+            [x, rng.normal(size=channels), rng.normal(size=channels)],
+            rng,
+            arena,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 3),
+        output_size=st.integers(1, 4),
+        extra=st.integers(0, 8),
+        arena=st.booleans(),
+    )
+    def test_adaptive_avg_pool1d(self, seed, batch, channels, output_size, extra, arena):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, output_size + extra))
+        _check_against_finite_differences(
+            lambda x: F.adaptive_avg_pool1d(x, output_size), [x], rng, arena
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 2),
+        output_size=st.integers(1, 3),
+        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        arena=st.booleans(),
+    )
+    def test_adaptive_avg_pool2d(self, seed, batch, channels, output_size, extra, arena):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, output_size + extra[0], output_size + extra[1]))
+        _check_against_finite_differences(
+            lambda x: F.adaptive_avg_pool2d(x, output_size), [x], rng, arena
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 2),
+        kernel=st.integers(1, 3),
+        stride=st.one_of(st.none(), st.integers(1, 3)),
+        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        arena=st.booleans(),
+    )
+    def test_max_pool2d(self, seed, batch, channels, kernel, stride, extra, arena):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, kernel + extra[0], kernel + extra[1]))
+        windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+        step = stride or kernel
+        top_two = np.sort(windows[:, :, ::step, ::step].reshape(-1, kernel * kernel), axis=1)[:, -2:]
+        # the finite differences must not move a window's maximum to another element
+        assume(kernel == 1 or np.min(top_two[:, 1] - top_two[:, 0]) > 1e-3)
+        _check_against_finite_differences(
+            lambda x: F.max_pool2d(x, kernel, stride), [x], rng, arena
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6)),
+        broadcast=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        arena=st.booleans(),
+    )
+    def test_add_relu(self, seed, shape, broadcast, arena):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape)
+        b = rng.normal(size=tuple(1 if flag else n for n, flag in zip(shape, broadcast)))
+        # the finite differences must not step across the ReLU's kink
+        assume(np.abs(a + b).min() > 1e-3)
+        _check_against_finite_differences(lambda a, b: a.add_relu(b), [a, b], rng, arena)
 
 
 class TestPoolingAndDropout:

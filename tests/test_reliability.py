@@ -35,7 +35,7 @@ from repro.core.config import AimTSConfig
 from repro.core.pretrainer import AimTSPretrainer
 from repro.data.corpus import CorpusReadError, CorpusWriter, ShardedCorpus
 from repro.data.corpus.__main__ import main as corpus_main
-from repro.engine import Checkpointer
+from repro.engine import Callback, Checkpointer
 from repro.engine.parallel import RestartPolicy
 from repro.imaging import LineChartRenderer, RenderCache
 from repro.serving import (
@@ -241,6 +241,90 @@ class TestSelfHealingPretrain:
         with faults.armed(FaultPlan([("producer.step", 1)], scratch_dir=tmp_path)):
             crashed = run(restart=True)
         assert crashed == reference
+
+
+# --------------------------------------------------------------------------- #
+# pool children killed from outside (SIGKILL, the OOM killer)
+# --------------------------------------------------------------------------- #
+def _kill(process) -> None:
+    """SIGKILL a child: no Python unwinding, so a queue lock it holds (an idle
+    child blocks in ``Queue.get()``) is never released."""
+    process.kill()
+    process.join(timeout=10.0)
+    assert not process.is_alive()
+
+
+class _CutPoolTimeouts(Callback):
+    """A recovery that hangs fails after 10 s instead of the default 120 s."""
+
+    def on_fit_start(self, trainer):
+        for pool in (trainer.worker_pool, trainer.producer_pool):
+            if pool is not None:
+                pool.timeout = 10.0
+
+
+class _KillWorkerZeroAtEpochOne(_CutPoolTimeouts):
+    def on_epoch_start(self, trainer, epoch):
+        if epoch == 1:
+            _kill(trainer.worker_pool._processes[0])
+
+
+class _KillProducerAfterEpochZero(_CutPoolTimeouts):
+    def on_epoch_end(self, trainer, logs):
+        if trainer.state.epoch == 1:
+            (process,) = trainer.producer_pool._processes.values()
+            _kill(process)
+
+
+def _killed_run(kill: Callback | None = None, **knobs) -> dict:
+    """A TINY AimTS fit, with a pool child killed by ``kill`` when given."""
+    model = AimTSPretrainer(AimTSConfig(**TINY, **knobs))
+    model.restart_policy = RestartPolicy(2, sleep=no_sleep)
+    try:
+        history = model.fit(tiny_pool(), callbacks=[kill] if kill is not None else [])
+        pool = model._worker_pool or model._producer_pool
+        return {
+            "curve": (
+                tuple(history.total_loss),
+                tuple(history.prototype_loss),
+                tuple(history.series_image_loss),
+            ),
+            "restarts": pool.restart_count,
+            "degradations": list(model.trainer.degradation_events),
+            "state": {
+                f"{name}.{key}": value
+                for name, module in model.trainer.loop.named_modules().items()
+                for key, value in module.state_dict().items()
+            },
+        }
+    finally:
+        model.shutdown_workers()
+
+
+class TestKilledChildren:
+    @pytest.fixture(scope="class")
+    def worker_runs(self):
+        return _killed_run(n_workers=2), _killed_run(_KillWorkerZeroAtEpochOne(), n_workers=2)
+
+    def test_killed_worker_is_replaced(self, worker_runs):
+        reference, killed = worker_runs
+        assert killed["restarts"] == 1
+        assert killed["curve"] == reference["curve"]
+
+    def test_replacement_worker_keeps_bn_running_stats(self, worker_runs):
+        # the parent adopts worker 0's buffers at every epoch end, so a
+        # replacement that restarted them from initialisation would show here
+        reference, killed = worker_runs
+        assert killed["state"].keys() == reference["state"].keys()
+        for key, value in reference["state"].items():
+            np.testing.assert_array_equal(killed["state"][key], value, err_msg=key)
+
+    def test_killed_producer_is_replaced(self):
+        reference = _killed_run(n_producers=1, prefetch_depth=2)
+        killed = _killed_run(_KillProducerAfterEpochZero(), n_producers=1, prefetch_depth=2)
+        assert killed["restarts"] == 1
+        assert killed["degradations"] == []
+        assert killed["curve"] == reference["curve"]
 
 
 # --------------------------------------------------------------------------- #
