@@ -191,9 +191,7 @@ def test_pretrain_epoch_throughput():
 
 def test_pretrain_epoch_throughput_float32():
     """The same pre-train with the float32 compute core (PR 4 fast path)."""
-    _run_pretrain_benchmark(
-        "engine_pretrain_float32", compute_dtype="float32", image_dtype="float32"
-    )
+    _run_pretrain_benchmark("engine_pretrain_float32", compute_dtype="float32")
 
 
 def test_pretrain_parallel_throughput():
@@ -213,27 +211,23 @@ def test_pretrain_parallel_throughput():
         "pretrain_f32_per_sample_aug",
         warmup=True,
         compute_dtype="float32",
-        image_dtype="float32",
         augment_batched=False,
     )
     batched = _run_pretrain_benchmark(
         "pretrain_f32_batched_aug",
         warmup=True,
         compute_dtype="float32",
-        image_dtype="float32",
     )
     parallel = _run_pretrain_benchmark(
         "pretrain_f32_batched_aug_2workers",
         warmup=True,
         compute_dtype="float32",
-        image_dtype="float32",
         n_workers=PARALLEL_WORKERS,
     )
     pipelined = _run_pretrain_benchmark(
         "pretrain_f32_pipelined_2producers",
         warmup=True,
         compute_dtype="float32",
-        image_dtype="float32",
         n_producers=PIPELINE_PRODUCERS,
         prefetch_depth=PIPELINE_PREFETCH,
     )
@@ -344,7 +338,6 @@ def test_pretrain_arena_throughput():
             epochs=PRETRAIN_EPOCHS,
             seed=3407,
             compute_dtype="float32",
-            image_dtype="float32",
             step_arena=step_arena,
         )
         pretrainer = AimTSPretrainer(config)

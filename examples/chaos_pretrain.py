@@ -41,7 +41,7 @@ from repro.utils.faults import FaultPlan
 #: the two pipeline arms the stress probe exercises — producers require the
 #: sequential gradient path (n_workers=1) and sharded workers require the
 #: inline batch path (n_producers=0), so each arm samples faults from its
-#: own site.  Serving / corpus / spill sites have their own tests in
+#: own site.  Serving and corpus sites have their own tests in
 #: tests/test_reliability.py and no pipeline to exercise here.
 ARMS = (
     ("producer", "producer.step", dict(n_producers=1, prefetch_depth=2)),

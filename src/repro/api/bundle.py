@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import tokenize
 import zipfile
 
 import numpy as np
@@ -108,15 +109,29 @@ def _open_archive(path: str):
 
     What a truncated or corrupted archive makes ``zipfile`` and NumPy raise,
     while opening or while the caller reads entries, is re-raised as
-    :class:`BundleFormatError`; a missing, unreadable or directory path keeps
-    its own ``OSError``.
+    :class:`BundleFormatError` — NumPy's ``.npy`` header parser raises
+    ``tokenize.TokenError`` on some damaged headers; a missing, unreadable or
+    directory path keeps its own ``OSError``.  An archive without a manifest
+    entry is not a bundle.
     """
     try:
         with open(path, "rb") as handle, np.load(handle) as archive:
+            if MANIFEST_KEY not in archive.files:
+                raise BundleFormatError(
+                    f"{path!r} has no manifest; it is a legacy state-dict archive, "
+                    "not a bundle (use repro.nn.serialization.load_state_dict)"
+                )
             yield archive
     except (BundleFormatError, FileNotFoundError, PermissionError, IsADirectoryError):
         raise
-    except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError, OSError) as exc:
+    except (
+        zipfile.BadZipFile,
+        EOFError,
+        ValueError,
+        NotImplementedError,
+        OSError,
+        tokenize.TokenError,
+    ) as exc:
         raise BundleFormatError(f"{path!r} is not a readable bundle archive: {exc}") from exc
 
 
@@ -129,11 +144,6 @@ def load_bundle(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:
     """
     path = resolve_read_path(path)
     with _open_archive(path) as archive:
-        if MANIFEST_KEY not in archive.files:
-            raise BundleFormatError(
-                f"{path!r} has no manifest; it is a legacy state-dict archive, "
-                "not a bundle (use repro.nn.serialization.load_state_dict)"
-            )
         manifest = _decode_manifest(archive[MANIFEST_KEY])
         _check_manifest(manifest, path)
         arrays = {key: archive[key] for key in archive.files if key != MANIFEST_KEY}
@@ -155,12 +165,14 @@ def sub_state(state: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray
     }
 
 
-def peek_manifest(path: str | os.PathLike) -> dict | None:
-    """Return the manifest of ``path``, or ``None`` for legacy archives."""
+def peek_manifest(path: str | os.PathLike) -> dict:
+    """Return the manifest of the bundle at ``path`` without its arrays.
+
+    Raises :class:`BundleFormatError` as :func:`load_bundle` does, including
+    for an archive with no manifest.
+    """
     path = resolve_read_path(path)
     with _open_archive(path) as archive:
-        if MANIFEST_KEY not in archive.files:
-            return None
         manifest = _decode_manifest(archive[MANIFEST_KEY])
     _check_manifest(manifest, path)
     return manifest

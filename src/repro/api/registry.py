@@ -111,6 +111,7 @@ def _config_split_factory(cls, config_cls) -> Callable:
         return cls(config, **overrides)
 
     factory.component_class = cls
+    factory.config_fields = config_fields
     return factory
 
 
@@ -229,7 +230,9 @@ def load_estimator(path: str | os.PathLike, *, eval_mode: bool = False):
     Reads the bundle manifest, rebuilds the estimator from the registry using
     the originating config stored in it, then loads all weights — including a
     fine-tuned classifier when present, so ``load_estimator(p).predict(X)``
-    works with no further calls.
+    works with no further calls.  A stored config key that is not a field of
+    the estimator's config dataclass raises :class:`BundleFormatError`
+    naming it.
 
     ``eval_mode=True`` additionally prepares the estimator for serving: every
     eval-time Conv→BatchNorm pair is folded **once at load time** (see
@@ -250,6 +253,16 @@ def load_estimator(path: str | os.PathLike, *, eval_mode: bool = False):
             "AimTSPretrainer.fit(..., resume_from=path))"
         )
     overrides = dict(manifest.get("config") or {})
+    # a stored key the config no longer has (a knob deleted since the bundle
+    # was saved) is named here, not left to fail in the constructor
+    ESTIMATORS._populate()
+    fields = getattr(ESTIMATORS._factories.get(ESTIMATORS._key(name)), "config_fields", None)
+    unknown = sorted(set(overrides) - fields) if fields is not None else []
+    if unknown:
+        raise BundleFormatError(
+            f"bundle {str(path)!r} stores config keys {unknown} that are not fields "
+            f"of the {name!r} config; it was saved by another version of the library"
+        )
     overrides.update(manifest.get("init_kwargs") or {})
     estimator = make_estimator(name, **overrides)
     if hasattr(estimator, "_load_from_state"):  # reuse the bundle read above

@@ -18,7 +18,6 @@ TEMPERATURE_MODES = ("adaptive", "fixed")
 MIXUP_MODES = ("geodesic", "linear", "none")
 PROTOTYPE_REDUCTIONS = ("mean", "median")
 CHANNEL_AGGREGATIONS = ("concat", "mean")
-IMAGE_DTYPES = ("float32", "float64")
 COMPUTE_DTYPES = ("float32", "float64")
 
 
@@ -49,28 +48,19 @@ class AimTSConfig:
         TS-encoder trunk architecture.
     image_channels, image_depth, panel_size:
         Image-encoder architecture and line-chart rendering resolution.
-    image_dtype, cache_images, cache_max_bytes:
-        Imaging-pipeline performance knobs: the rasteriser's compute dtype
-        ("float64" is bit-exact against the reference renderer, "float32"
-        halves image memory), whether pre-training memoises the deterministic
-        pool renders across epochs (see :class:`repro.imaging.RenderCache`),
-        and the byte budget for that cache (default 256 MiB ≈ 10k cached
-        panel-32 univariate images; pool samples beyond the budget render on
-        demand each epoch; None = unbounded).
-    cache_spill_dir, cache_spill_max_bytes:
-        Disk tier of the render cache for pools larger than ``cache_max_bytes``
-        (the out-of-core corpus path): entries evicted from the RAM LRU spill
-        to ``.npy`` files under ``cache_spill_dir`` (each deterministic render
-        is written at most once) and are served back — content-hash-validated —
-        on later epochs instead of re-rendering.  ``cache_spill_max_bytes``
-        bounds the on-disk footprint (None = unbounded).  ``cache_spill_dir``
-        None (the default) disables the tier.
+    cache_images, cache_max_bytes:
+        Whether pre-training renders the pool's leading rows once, before the
+        first step, into a read-only table (see
+        :class:`repro.imaging.RenderCache`), and the byte budget of that table
+        (default 256 MiB ≈ 10k panel-32 univariate float64 images; pool rows
+        beyond the budget render on every step; None = unbounded).
     compute_dtype:
-        Precision of the neural compute core: "float64" (default) is the
-        bit-exact reference path, "float32" runs parameters, activations,
-        gradients and optimizer moments in single precision for roughly
-        double the throughput at contrastive-learning-irrelevant accuracy
-        cost (see the float32/float64 parity suite).
+        Precision of the neural compute core and of the line-chart images:
+        "float64" (default) is the bit-exact reference path, "float32" runs
+        parameters, activations, gradients, optimizer moments and the
+        rasteriser in single precision for roughly double the throughput at
+        contrastive-learning-irrelevant accuracy cost (see the
+        float32/float64 parity suite).
     encode_batch_size:
         Micro-batch size of the serving surfaces (``encode`` / ``predict`` /
         ``predict_proba``), which stream batches through the no-grad
@@ -133,11 +123,8 @@ class AimTSConfig:
     image_depth: int = 2
     panel_size: int = 32
     # imaging pipeline performance
-    image_dtype: str = "float64"
     cache_images: bool = True
     cache_max_bytes: int | None = 256 * 1024 * 1024
-    cache_spill_dir: str | None = None
-    cache_spill_max_bytes: int | None = None
     # compute core precision + serving batch size
     compute_dtype: str = "float64"
     encode_batch_size: int = DEFAULT_SERVING_BATCH_SIZE
@@ -203,17 +190,12 @@ class AimTSConfig:
         check_positive("gamma", self.gamma)
         check_positive("tau0", self.tau0)
         check_positive("tau", self.tau)
-        check_in_options("image_dtype", self.image_dtype, IMAGE_DTYPES)
         check_in_options("compute_dtype", self.compute_dtype, COMPUTE_DTYPES)
         check_positive("encode_batch_size", self.encode_batch_size)
         check_positive("n_workers", self.n_workers)
         _check_pipeline_knobs(self.n_producers, self.prefetch_depth, self.n_workers)
         if self.cache_max_bytes is not None:
             check_positive("cache_max_bytes", self.cache_max_bytes)
-        if self.cache_spill_max_bytes is not None:
-            check_positive("cache_spill_max_bytes", self.cache_spill_max_bytes)
-            if self.cache_spill_dir is None:
-                raise ValueError("cache_spill_max_bytes requires cache_spill_dir")
         check_in_options("temperature_mode", self.temperature_mode, TEMPERATURE_MODES)
         check_in_options("mixup_mode", self.mixup_mode, MIXUP_MODES)
         check_in_options("prototype_reduction", self.prototype_reduction, PROTOTYPE_REDUCTIONS)

@@ -143,7 +143,6 @@ class FineTuner:
             optimizer,
             callbacks=engine_callbacks,
             history=history,
-            rng=self._rng,
             dtype_policy=DtypePolicy(compute_dtype=compute_dtype.name),
             step_arena=self.config.step_arena,
         )
@@ -229,7 +228,7 @@ class _FineTuneLoop(TrainLoop):
         rngs.update(dropout_rngs(self.finetuner.classifier, "classifier.dropout"))
         return rngs
 
-    def make_batches(self, rng, epoch):
+    def make_batches(self, epoch):
         yield from self.iterator
 
     def batch_loss(self, batch) -> Tensor:

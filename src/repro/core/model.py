@@ -30,7 +30,6 @@ from repro.core.finetuner import FineTuner, FineTuneResult
 from repro.core.pretrainer import AimTSPretrainer, PretrainHistory
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.fewshot import few_shot_view
-from repro.nn.serialization import load_state_dict
 
 
 class AimTS(FineTunedPredictorMixin):
@@ -183,19 +182,16 @@ class AimTS(FineTunedPredictorMixin):
         return save_bundle(path, arrays, manifest)
 
     def load(self, path: str | os.PathLike) -> "AimTS":
-        """Load a checkpoint saved by :meth:`save`.
+        """Load a bundle saved by :meth:`save`.
 
-        Understands both the current full-bundle format and legacy
-        encoder-only ``.npz`` state dicts (pre-bundle checkpoints).
+        Raises :class:`repro.api.BundleFormatError` for anything that is not
+        a readable bundle, including a pre-bundle state-dict archive.
         """
-        from repro.api.bundle import load_bundle, peek_manifest, resolve_read_path
+        from repro.api.bundle import load_bundle
 
-        path = resolve_read_path(path)
-        if peek_manifest(path) is None:  # legacy encoder-only checkpoint
-            return self._load_from_state(load_state_dict(path), None)
         return self._load_from_state(*load_bundle(path))
 
-    def _load_from_state(self, state: dict, manifest: dict | None) -> "AimTS":
+    def _load_from_state(self, state: dict, manifest: dict) -> "AimTS":
         """Restore from already-read bundle contents (single-read load path)."""
         from repro.api.bundle import sub_state
 
@@ -203,13 +199,9 @@ class AimTS(FineTunedPredictorMixin):
             module.load_state_dict(sub_state(state, prefix))
 
         # any classifier fitted before load was trained against weights this
-        # instance no longer has; a bundle without a finetune section (and a
-        # legacy checkpoint) resets it
+        # instance no longer has; a bundle without a finetune section resets it
         self._finetuner = None
         self._label_map = None
-        if manifest is None:
-            self._pretrained = True
-            return self
         self._pretrained = bool(manifest.get("pretrained", True))
         finetune = manifest.get("finetune")
         if finetune is not None:

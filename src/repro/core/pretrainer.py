@@ -129,11 +129,11 @@ def _pretrain_producer_replica(
     """Build one batch-producer replica of the pre-training produce stage.
 
     Module-level so spawn producers can unpickle it.  ``cache`` is the
-    parent's precomputed render cache when the parent produces, ``None`` in
-    producer processes.  ``producer_index`` is deliberately unused for
-    anything stochastic: every stream ``produce`` consumes is re-keyed per
-    step, so replicas are interchangeable and the pool can grow/shrink
-    without touching the curve.
+    parent's render table when the parent produces, ``None`` in producer
+    processes.  ``producer_index`` is deliberately unused for anything
+    stochastic: every stream ``produce`` consumes is re-keyed per step, so
+    replicas are interchangeable and the pool can grow/shrink without
+    touching the curve.
     """
     return _PretrainProducer(config, cache)
 
@@ -141,32 +141,17 @@ def _pretrain_producer_replica(
 class _PretrainProducer:
     """The produce stage of one pre-training step: augment, render, mixup λ.
 
-    Holds its own augmentation bank and renderer, and uses ``cache`` when
-    given, else builds its own render cache (when configured) — a spill
-    directory is shared with sibling producers through the cache's
-    cross-process discovery, so each deterministic render is written once
-    pool-wide.  Every draw derives from ``derive_step_seed(config.seed,
+    Holds its own augmentation bank and renderer.  Images come from ``cache``
+    when given (the parent's render table) and are rendered every step
+    otherwise.  Every draw derives from ``derive_step_seed(config.seed,
     epoch, step)``, making the output a pure function of the step key.
     """
 
     def __init__(self, config: AimTSConfig, cache: RenderCache | None):
         self.config = config
-        self.dtype_policy = DtypePolicy(
-            compute_dtype=config.compute_dtype, image_dtype=config.image_dtype
-        )
         self.bank = build_augmentation_bank(config, new_rng(config.seed))
-        self.renderer = LineChartRenderer(
-            panel_size=config.panel_size, dtype=self.dtype_policy.image_dtype
-        )
+        self.renderer = LineChartRenderer(panel_size=config.panel_size, dtype=config.compute_dtype)
         self.cache = cache
-        if cache is None and config.use_series_image_loss and config.cache_images:
-            self.cache = RenderCache(
-                self.renderer,
-                max_bytes=config.cache_max_bytes,
-                insert_on_miss=True,
-                spill_dir=config.cache_spill_dir,
-                spill_max_bytes=config.cache_spill_max_bytes,
-            )
 
     def produce(self, epoch: int, step: int, payload):
         """``(indices, series)`` → ``(series, images, views_a, views_b, lam)``.
@@ -230,14 +215,10 @@ class AimTSPretrainer:
         self.bank = build_augmentation_bank(cfg, self._rng)
         #: precision policy shared with the training engine (configured once,
         #: consumed by the renderer here and carried by the Trainer)
-        self.dtype_policy = DtypePolicy(
-            compute_dtype=cfg.compute_dtype, image_dtype=cfg.image_dtype
-        )
-        self.renderer = LineChartRenderer(
-            panel_size=cfg.panel_size, dtype=self.dtype_policy.image_dtype
-        )
-        #: cross-epoch cache of the deterministic pool renders; built by
-        #: :meth:`fit` when ``config.cache_images`` is on.
+        self.dtype_policy = DtypePolicy(compute_dtype=cfg.compute_dtype)
+        self.renderer = LineChartRenderer(panel_size=cfg.panel_size, dtype=cfg.compute_dtype)
+        #: read-only table of the pool's leading renders; filled by :meth:`fit`
+        #: when ``config.cache_images`` is on and the parent produces inline.
         self.render_cache: RenderCache | None = None
         #: buffer arena of the :meth:`encode` path, advanced once per micro-batch
         self._workspace = StepArena()
@@ -447,33 +428,15 @@ class AimTSPretrainer:
         optimizer = Adam(list(self.parameters()), lr=cfg.learning_rate)
         scheduler = StepLR(optimizer, step_size=cfg.lr_step_size, gamma=cfg.lr_gamma)
 
-        # the renders are deterministic per pool sample, so rasterise the pool
-        # once up front and serve every shuffled batch of every epoch from the
-        # cache; insert_on_miss=False freezes the precomputed prefix so a
-        # byte budget smaller than the pool renders the rest on demand
-        # instead of churning the LRU under shuffled (uniform) access.
-        # With a spill tier (cache_spill_dir) evictions land on disk and hit
-        # later, so inserts stay on; a sharded corpus pool skips the up-front
-        # pass (it would densify the corpus) and fills the cache tiers during
-        # the first epoch instead — either way each sample renders once.
-        # The inline producer (n_producers=0) renders from this cache; producer
-        # processes each own a cache replica (sharing any spill directory via
-        # the cache's cross-process reads), so the parent then holds none.
+        # renders are a pure function of the sample: the inline producer
+        # reads the pool's leading rows from a table rendered once here, up
+        # to the byte budget, and renders the rest every step; producer
+        # processes render every step
         pipelined = cfg.n_producers >= 1
-        corpus_pool = _is_corpus(pool)
+        self.render_cache = None
         if cfg.use_series_image_loss and cfg.cache_images and not pipelined:
-            spill = cfg.cache_spill_dir is not None
-            self.render_cache = RenderCache(
-                self.renderer,
-                max_bytes=cfg.cache_max_bytes,
-                insert_on_miss=spill or corpus_pool,
-                spill_dir=cfg.cache_spill_dir,
-                spill_max_bytes=cfg.cache_spill_max_bytes,
-            )
-            if not corpus_pool:
-                self.render_cache.precompute_pool(pool)
-        else:
-            self.render_cache = None
+            self.render_cache = RenderCache(self.renderer, max_bytes=cfg.cache_max_bytes)
+            self.render_cache.precompute_pool(pool)
 
         loop = _PretrainLoop(self, pool, self.render_cache)
         # a pool that broke (or was closed) in an earlier fit is replaced, not

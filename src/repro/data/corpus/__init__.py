@@ -11,10 +11,10 @@ permutation.  :func:`build_synthetic_corpus` streams the
 runs, and ``python -m repro.data.corpus`` exposes ``build`` / ``inspect`` /
 ``verify`` subcommands over the same machinery.
 
-A :class:`ShardedCorpus` plugs directly into
-:class:`repro.data.BatchIterator`, ``build_pretraining_pool`` and
-``AimTSPretrainer.fit`` — batches are densified per mini-batch and flow
-through the shared-memory worker transport unchanged.
+A :class:`ShardedCorpus` plugs directly into ``build_pretraining_pool``,
+:func:`repro.data.loaders.epoch_index_batches` and ``AimTSPretrainer.fit`` —
+batches are densified per mini-batch and flow through the shared-memory
+worker transport unchanged.
 """
 
 from repro.data.corpus.format import (

@@ -13,8 +13,9 @@ permutation **within** each shard.  That keeps epochs deterministic at a
 fixed seed while the resident index state stays bounded by one shard (plus a
 partial-batch carry) instead of a global ``(N,)`` permutation, and it keeps
 disk access shard-local so a spinning-disk corpus streams instead of
-seeking.  For a single-shard corpus the order is bit-identical to
-``BatchIterator``'s in-RAM global shuffle under the same generator.
+seeking.  For a single-shard corpus the order is bit-identical to the
+in-RAM global shuffle of :func:`repro.data.loaders.epoch_index_batches`
+under the same seed.
 """
 
 from __future__ import annotations
@@ -150,26 +151,6 @@ class CorpusReaderBase:
         """
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
         return self.iter_index_batches(batch_size, rng=rng, shuffle=shuffle)
-
-    def peek_ahead(
-        self,
-        k: int,
-        batch_size: int,
-        *,
-        epoch: int,
-        seed: int,
-        shuffle: bool = True,
-    ) -> list[np.ndarray]:
-        """The first ``k`` index batches of an epoch, without any shared state.
-
-        A producer-side convenience over :meth:`batches_for_epoch`: claiming
-        the look-ahead window never advances anyone else's iterator.
-        """
-        check_positive("k", k)
-        schedule = self.batches_for_epoch(
-            batch_size, epoch=epoch, seed=seed, shuffle=shuffle
-        )
-        return [batch for batch, _ in zip(schedule, range(int(k)))]
 
 
 class ShardedCorpus(CorpusReaderBase):
@@ -414,7 +395,7 @@ class CorpusSubset(CorpusReaderBase):
 
     Exposes the same reader protocol with *local* indices ``0..len-1`` (the
     keys yielded by iteration and consumed by :meth:`gather`), so downstream
-    consumers — ``BatchIterator``, the render cache — treat a subset exactly
+    consumers — the epoch schedule, the render cache — treat a subset exactly
     like a smaller corpus with stable per-sample keys.
     """
 

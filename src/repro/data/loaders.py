@@ -103,17 +103,12 @@ def _is_corpus(obj) -> bool:
 
 
 class BatchIterator:
-    """Shuffling mini-batch iterator over ``(X, y)`` arrays or a sharded corpus.
+    """Shuffling mini-batch iterator over ``(X, y)`` arrays.
 
     Parameters
     ----------
     X:
-        Samples of shape ``(n, M, T)``, or an out-of-core
-        :class:`repro.data.corpus.ShardedCorpus` / ``CorpusSubset``.  Corpus
-        batches are densified per mini-batch via ``gather`` (memmap-backed —
-        the corpus itself is never materialised) in the reader's shard-aware
-        shuffled order, which for a single-shard corpus is bit-identical to
-        the in-RAM global shuffle under the same generator.
+        Samples of shape ``(n, M, T)``.
     y:
         Optional integer labels.
     batch_size:
@@ -125,10 +120,6 @@ class BatchIterator:
     dtype:
         Optional dtype for the samples; ``None`` keeps floating inputs
         untouched (no copy) and promotes integer inputs to float64.
-    return_indices:
-        Yield ``(batch, labels, indices)`` triples, where ``indices`` are the
-        positions of the batch rows in ``X`` — the key the cross-epoch render
-        cache uses to memoise per-sample images.
     """
 
     def __init__(
@@ -140,54 +131,31 @@ class BatchIterator:
         shuffle: bool = True,
         seed: int | np.random.Generator | None = None,
         dtype: str | np.dtype | None = None,
-        return_indices: bool = False,
     ):
         check_positive("batch_size", batch_size)
-        self.corpus = X if _is_corpus(X) else None
-        if self.corpus is not None:
-            self.X = X
-            self._dtype = None if dtype is None else np.dtype(dtype)
-        else:
-            self.X = as_float_array(X, dtype)
-            self._dtype = None
+        if _is_corpus(X):  # np.asarray would densify it sample by sample
+            raise TypeError(
+                "BatchIterator takes in-RAM arrays; stream a sharded corpus with "
+                "epoch_index_batches and its gather()"
+            )
+        self.X = as_float_array(X, dtype)
         self.y = None if y is None else np.asarray(y, dtype=np.int64)
         if self.y is not None and self.y.shape[0] != self.X.shape[0]:
             raise ValueError("X and y must have the same number of samples")
         self.batch_size = int(batch_size)
         self.shuffle = shuffle
-        self.return_indices = bool(return_indices)
         self._rng = new_rng(seed)
 
     def __len__(self) -> int:
         return int(np.ceil(self.X.shape[0] / self.batch_size))
 
-    def _iter_corpus(self) -> Iterator[tuple]:
-        for indices in self.corpus.iter_index_batches(
-            self.batch_size, rng=self._rng, shuffle=self.shuffle
-        ):
-            batch = self.corpus.gather(indices)
-            if self._dtype is not None:
-                batch = batch.astype(self._dtype, copy=False)
-            if self.y is not None:
-                labels = self.y[indices]
-            else:
-                labels = self.corpus.gather_labels(indices)
-            yield (batch, labels, indices) if self.return_indices else (batch, labels)
-
     def __iter__(self) -> Iterator[tuple]:
-        if self.corpus is not None:
-            yield from self._iter_corpus()
-            return
         order = np.arange(self.X.shape[0])
         if self.shuffle:
             self._rng.shuffle(order)
         for start in range(0, order.size, self.batch_size):
             batch = order[start : start + self.batch_size]
-            labels = self.y[batch] if self.y is not None else None
-            if self.return_indices:
-                yield self.X[batch], labels, batch
-            else:
-                yield self.X[batch], labels
+            yield self.X[batch], (self.y[batch] if self.y is not None else None)
 
 
 def epoch_index_batches(
@@ -240,7 +208,7 @@ def build_pretraining_pool(
     An out-of-core :class:`repro.data.corpus.ShardedCorpus` passes straight
     through (its samples were canonicalised at build time): the corpus —
     seeded-subsampled via ``max_samples`` when requested — is returned as-is
-    for :class:`BatchIterator` to stream, never densified.
+    for :func:`epoch_index_batches` to stream, never densified.
     """
     rng = new_rng(seed)
     if _is_corpus(corpus):

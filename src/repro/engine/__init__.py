@@ -5,8 +5,8 @@ fine-tuning and every self-supervised baseline, so cross-cutting training
 capabilities are implemented exactly once as callbacks:
 
 * :class:`TrainLoop` — the objective contract: a step-keyed produce stage
-  (every pre-training objective) or ``make_batches(rng, epoch)``
-  (fine-tuning), + ``batch_loss(batch)`` plus checkpointing introspection.
+  (every pre-training objective) or ``make_batches(epoch)`` (fine-tuning),
+  + ``batch_loss(batch)`` plus checkpointing introspection.
 * :class:`TrainState` — epoch/step counters, history and RNG snapshots.
 * :class:`Callback` — the event protocol (``on_fit_start`` /
   ``on_epoch_start`` / ``on_batch_end`` / ``on_backward_end`` /

@@ -3,9 +3,9 @@
 A loop owns *what* is trained (modules, batches, the loss); the
 :class:`~repro.engine.trainer.Trainer` owns *how* (epochs, optimizer steps,
 gradient accumulation, callbacks, checkpoints).  A loop supplies its batches
-— a produce stage (pre-training) or ``make_batches(rng, epoch)``
-(fine-tuning) — plus one ``batch_loss(batch)`` and the introspection hooks
-the trainer needs for checkpointing.
+— a produce stage (pre-training) or ``make_batches(epoch)`` (fine-tuning)
+— plus one ``batch_loss(batch)`` and the introspection hooks the trainer
+needs for checkpointing.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ class TrainLoop:
         (``n_producers=0``) or in any number of producer processes gives
         bit-identical losses.  A loop whose :meth:`producer_factory` is not
         ``None`` always trains this way; every pre-training objective does.
-    ``make_batches(rng, epoch)``
+    ``make_batches(epoch)``
         Yield the epoch's mini-batches in order (fine-tuning).  Any
-        shuffling must draw from ``rng`` (or from a generator that *shares*
-        it), so the trainer can snapshot and restore the stream for
-        bit-identical resume.
+        shuffling must draw from a stream listed in :meth:`named_rngs`, so
+        the trainer can snapshot and restore it for bit-identical resume.
     ``batch_loss(batch)``
         Return the scalar loss :class:`~repro.nn.tensor.Tensor` for one
         (produced or made) batch, or a dict whose ``"loss"`` entry is that
@@ -79,7 +78,7 @@ class TrainLoop:
         for module in self.named_modules().values():
             yield from module.parameters()
 
-    def make_batches(self, rng: np.random.Generator, epoch: int) -> Iterable:  # pragma: no cover
+    def make_batches(self, epoch: int) -> Iterable:  # pragma: no cover - interface
         raise NotImplementedError
 
     def batch_loss(self, batch) -> Tensor | dict:  # pragma: no cover - interface

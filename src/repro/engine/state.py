@@ -67,11 +67,8 @@ class DtypePolicy:
     Configured once on the trainer instead of per loop: ``compute_dtype`` is
     the autograd/parameter precision — "float64" is the bit-exact reference
     path, "float32" halves the compute core's memory traffic (parameters,
-    activations, gradients and optimizer moments all stay float32; see
-    ``AimTSConfig.compute_dtype``) — and ``image_dtype`` selects the
-    rasteriser fast path ("float32" halves image memory, "float64" is
-    bit-exact against the reference renderer — see
-    ``AimTSConfig.image_dtype``).
+    activations, gradients, optimizer moments and rendered images all stay
+    float32; see ``AimTSConfig.compute_dtype``).
 
     :meth:`Trainer.fit <repro.engine.trainer.Trainer.fit>` and the
     estimators' serving surfaces apply ``compute_dtype`` through the
@@ -79,25 +76,17 @@ class DtypePolicy:
     """
 
     compute_dtype: str = "float64"
-    image_dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        for field_name in ("compute_dtype", "image_dtype"):
-            value = getattr(self, field_name)
-            if value not in ("float32", "float64"):
-                raise ValueError(
-                    f"{field_name} must be 'float32' or 'float64', got {value!r}"
-                )
+        if self.compute_dtype not in ("float32", "float64"):
+            raise ValueError(
+                f"compute_dtype must be 'float32' or 'float64', got {self.compute_dtype!r}"
+            )
 
     @property
     def np_compute_dtype(self) -> np.dtype:
         """The compute precision as a NumPy dtype."""
         return np.dtype(self.compute_dtype)
-
-    @property
-    def np_image_dtype(self) -> np.dtype:
-        """The imaging precision as a NumPy dtype."""
-        return np.dtype(self.image_dtype)
 
 
 def get_rng_state(generator: np.random.Generator) -> dict:

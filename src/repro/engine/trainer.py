@@ -65,10 +65,6 @@ class Trainer:
         ``LossHistory`` to append into — pass the same instance across
         several ``fit`` calls to accumulate one continuous history.
         Mutually exclusive with supplying your own ``LossHistory`` callback.
-    rng:
-        Generator handed to ``loop.make_batches``; defaults to a fresh
-        unseeded generator when omitted (loops that own their stream ignore
-        it).
     dtype_policy:
         The precision policy (see :class:`~repro.engine.state.DtypePolicy`),
         configured once here instead of per loop.
@@ -139,7 +135,6 @@ class Trainer:
         scheduler: LRScheduler | None = None,
         callbacks: list[Callback] | tuple = (),
         history: History | None = None,
-        rng: np.random.Generator | None = None,
         dtype_policy: DtypePolicy | None = None,
         state: TrainState | None = None,
         n_workers: int = 1,
@@ -193,7 +188,6 @@ class Trainer:
         #: per-phase wall-time accounting (None unless ``profile=True``)
         self.profiler: PhaseProfiler | None = PhaseProfiler() if profile else None
         self.callbacks: list[Callback] = list(callbacks)
-        self.rng = rng
         self.dtype_policy = dtype_policy or DtypePolicy()
         self.state = state or TrainState()
         self._loss_history = next(
@@ -328,7 +322,7 @@ class Trainer:
                 restart_policy=self.restart_policy,
             )
         batches_for = (
-            functools.partial(self.loop.make_batches, self.rng)
+            self.loop.make_batches
             if factory is None
             else functools.partial(self._produced_batches, producers=producers)
         )

@@ -8,9 +8,10 @@ image (Section IV-C1).  matplotlib is unavailable offline, so
 NumPy arrays — vectorized over whole batches, with the original scalar
 implementation retained as a ``reference=True`` slow path.
 
-Because rendering is deterministic, :mod:`repro.imaging.cache` memoises the
-images across epochs: :class:`RenderCache.precompute_pool` renders the
-pre-training pool once and every subsequent epoch is served from memory.
+Because rendering is deterministic, :mod:`repro.imaging.cache` keeps a
+read-only table of renders: :meth:`RenderCache.precompute_pool` renders the
+pre-training pool's leading rows once, up to a byte budget, and every epoch
+reads them back.
 """
 
 from repro.imaging.cache import RenderCache, content_hash

@@ -1,52 +1,34 @@
-"""Cross-epoch render cache for the line-chart imaging pipeline.
+"""Read-only render table for the line-chart imaging pipeline.
 
-Line-chart rendering is deterministic: the same pool sample always produces
-the same image, yet the seed training loop re-rendered every sample on every
-batch of every epoch.  :class:`RenderCache` memoises rendered images so the
-rasteriser runs **once per pool sample** (ideally in one vectorized
-:meth:`precompute_pool` pass before the first epoch) and every subsequent
-epoch is served from memory.
+Line-chart rendering is a pure function of the sample, so the pool's renders
+can be made once and read back every epoch.  :class:`RenderCache` is that
+table:
 
-Design:
-
-* entries are keyed by **pool index** for O(1) lookup, and each entry stores a
-  **content hash** of the raw series so a stale or reshuffled pool can never
-  serve a wrong image — on hash mismatch the sample is transparently
-  re-rendered and the entry refreshed;
-* storage is an LRU ``OrderedDict`` of per-sample image arrays (views into
-  the bulk array produced by :meth:`precompute_pool`, so the bulk path costs
-  one contiguous allocation);
-* an optional ``max_bytes`` budget bounds memory: inserts evict
-  least-recently-used entries, and :meth:`precompute_pool` fills the cache
-  only up to the budget;
-* an optional **disk spill tier** (``spill_dir``) keeps the render-once
-  property for pools larger than RAM: entries evicted from the RAM tier are
-  written as ``.npy`` files instead of dropped, served back on later lookups
-  (a *disk hit*, promoted back into the RAM LRU) after validating both the
-  requested series hash and a stored image content hash — a corrupted or
-  stale file is counted in ``readback_failures`` and transparently
-  re-rendered.  Because renders are deterministic, each image is written to
-  disk at most once no matter how often it shuttles between tiers.  Files
-  appear atomically (temp + ``os.replace``) with a ``.meta`` sidecar, so
-  several processes — e.g. the pipelined pre-training producers — can share
-  one spill directory and adopt each other's renders instead of re-rendering;
-* hit/miss/eviction counters plus render timings and the spill-tier
-  counters (``spilled_bytes`` / ``disk_hits`` / ``readback_failures``) are
-  exposed via :meth:`stats` so benchmarks (``benchmarks/test_perf_imaging.py``,
+* :meth:`precompute_pool` renders the pool's leading rows once, in vectorized
+  chunks, up to an optional ``max_bytes`` budget — from an in-RAM
+  ``(N, M, T)`` array or an out-of-core sharded corpus alike;
+* :meth:`get_batch` serves a row from the table when the stored **content
+  hash** of the series matches the requested row (a *hit*) and renders
+  every other row (a *miss*): rows beyond the budget, indices the table never
+  held, and rows whose content changed.  Nothing is inserted, evicted or
+  refreshed after the fill, so a changed row is rendered on every lookup and
+  never served stale.  Rows are hashed as the renderer reads them, cast to
+  its dtype, so a float64 corpus fills the table that float32 batches of the
+  same rows hit;
+* hit/miss counters plus render timings are exposed via :meth:`stats` so
+  benchmarks (``benchmarks/test_perf_imaging.py``,
   ``benchmarks/test_perf_corpus.py``) can report cache behaviour per epoch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from collections import OrderedDict
 
 import numpy as np
 
+from repro.data.loaders import _is_corpus
 from repro.imaging.line_chart import LineChartRenderer
-from repro.utils.faults import InjectedFault, fault_point
 
 
 def content_hash(sample: np.ndarray) -> bytes:
@@ -64,124 +46,57 @@ def content_hash(sample: np.ndarray) -> bytes:
 
 
 class RenderCache:
-    """Memoise deterministic line-chart renders across epochs.
+    """A table of deterministic line-chart renders, filled once and then read.
 
     Parameters
     ----------
     renderer:
-        The :class:`LineChartRenderer` used to produce images on a miss.
+        The :class:`LineChartRenderer` that fills the table and renders every
+        lookup the table cannot serve.
     max_bytes:
-        Optional cap on the total image bytes held; least-recently-used
-        entries are evicted to stay under it.  ``None`` means unbounded.
-    validate:
-        Verify the stored content hash against the requested batch on every
-        lookup (cheap: one blake2b over the raw series).  Disable only when
-        the pool is provably immutable.
-    insert_on_miss:
-        Whether :meth:`get_batch` inserts freshly rendered images for indices
-        it has never seen.  Disable after :meth:`precompute_pool` when the
-        budget is smaller than the pool *and no spill tier is configured*:
-        with uniformly shuffled access, LRU churn would evict entries that
-        were about to hit, so a *frozen* prefix (hits for cached samples,
-        plain on-demand renders for the rest, no eviction traffic) is
-        strictly faster.  With a spill tier the calculus flips — evictions
-        land on disk and hit later, so keep inserts on.  Content-hash
-        mismatches on already-cached indices are still refreshed in place.
-    spill_dir:
-        Optional directory for the disk spill tier (created if missing).
-        ``None`` (default) disables spilling: evictions discard the image as
-        before.
-    spill_max_bytes:
-        Optional cap on bytes spilled to disk; once reached, further
-        evictions are discarded instead of spilled.  ``None`` = unbounded.
+        Optional cap on the image bytes the table holds: :meth:`precompute_pool`
+        renders only the pool prefix that fits.  ``None`` means unbounded.
     """
 
-    def __init__(
-        self,
-        renderer: LineChartRenderer,
-        *,
-        max_bytes: int | None = None,
-        validate: bool = True,
-        insert_on_miss: bool = True,
-        spill_dir: str | os.PathLike | None = None,
-        spill_max_bytes: int | None = None,
-    ):
+    def __init__(self, renderer: LineChartRenderer, *, max_bytes: int | None = None):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive or None, got {max_bytes}")
-        if spill_max_bytes is not None and spill_max_bytes <= 0:
-            raise ValueError(
-                f"spill_max_bytes must be positive or None, got {spill_max_bytes}"
-            )
-        if spill_max_bytes is not None and spill_dir is None:
-            raise ValueError("spill_max_bytes requires spill_dir")
         self.renderer = renderer
         self.max_bytes = max_bytes
-        self.validate = validate
-        self.insert_on_miss = insert_on_miss
-        self.spill_dir = None if spill_dir is None else str(spill_dir)
-        self.spill_max_bytes = spill_max_bytes
-        if self.spill_dir is not None:
-            os.makedirs(self.spill_dir, exist_ok=True)
-        self._images: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._images: dict[int, np.ndarray] = {}
         self._hashes: dict[int, bytes] = {}
-        #: spilled index → (series hash, image content hash, image nbytes)
-        self._spill_meta: dict[int, tuple[bytes, bytes, int]] = {}
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.rendered_samples = 0
         self.render_seconds = 0.0
-        self.spilled_bytes = 0
-        self.spill_writes = 0
-        self.disk_hits = 0
-        self.readback_failures = 0
-        self.spill_retries = 0
 
     # ------------------------------------------------------------- inspection
     def __len__(self) -> int:
         return len(self._images)
 
-    def __contains__(self, index: int) -> bool:
-        return int(index) in self._images
-
     @property
     def nbytes(self) -> int:
-        """Total bytes of cached image data."""
+        """Total bytes of the stored images."""
         return self._nbytes
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when none yet)."""
+        """Fraction of lookups served from the table (0.0 when none yet)."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
     def stats(self) -> dict[str, float | int]:
-        """Counters for benchmarks and logging (RAM tier + spill tier)."""
+        """Counters for benchmarks and logging."""
         return {
             "entries": len(self._images),
             "nbytes": self._nbytes,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
             "rendered_samples": self.rendered_samples,
             "render_seconds": self.render_seconds,
-            "spill_entries": len(self._spill_meta),
-            "spilled_bytes": self.spilled_bytes,
-            "spill_writes": self.spill_writes,
-            "disk_hits": self.disk_hits,
-            "readback_failures": self.readback_failures,
-            "spill_retries": self.spill_retries,
         }
-
-    def clear(self) -> None:
-        """Drop all entries, RAM and spilled (counters are kept)."""
-        self._images.clear()
-        self._hashes.clear()
-        self._nbytes = 0
-        for index in list(self._spill_meta):
-            self._drop_spill(index)
 
     # ---------------------------------------------------------------- filling
     def _render(self, batch: np.ndarray) -> np.ndarray:
@@ -191,208 +106,48 @@ class RenderCache:
         self.rendered_samples += batch.shape[0]
         return images
 
-    # ------------------------------------------------------------- spill tier
-    #
-    # The spill directory is shareable across processes (the pipelined
-    # pre-training producers of :mod:`repro.engine.parallel` each hold their
-    # own RenderCache over one directory): every ``.npy`` lands via an atomic
-    # rename, and a sidecar ``.meta`` file carries the (series hash, image
-    # hash, nbytes) triple so a sibling's file can be adopted — or served —
-    # with exactly the validation an own write gets.
-    _META_NBYTES = 16 + 16 + 8  # series hash + image hash + uint64 nbytes
+    def precompute_pool(self, pool, *, chunk_size: int = 512) -> dict[str, float | int]:
+        """Fill the table with the renders of ``pool``'s leading rows.
 
-    def _spill_path(self, index: int) -> str:
-        return os.path.join(self.spill_dir, f"img-{index:09d}.npy")
-
-    def _meta_path(self, index: int) -> str:
-        return self._spill_path(index) + ".meta"
-
-    def _read_sidecar(self, index: int) -> tuple[bytes, bytes, int] | None:
-        """The on-disk metadata of a spilled image, however wrote it."""
-        try:
-            with open(self._meta_path(index), "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            return None
-        if len(raw) != self._META_NBYTES:
-            return None  # torn sidecar from a pre-atomic writer: ignore
-        return raw[:16], raw[16:32], int.from_bytes(raw[32:40], "little")
-
-    def _drop_spill(self, index: int) -> None:
-        meta = self._spill_meta.pop(index, None)
-        if meta is None:
-            return
-        self.spilled_bytes -= meta[2]
-        for path in (self._spill_path(index), self._meta_path(index)):
-            try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    def _spill_entry(self, index: int, image: np.ndarray, series_hash: bytes) -> None:
-        """Move one evicted image to the disk tier (skip if already there)."""
-        if index in self._spill_meta:
-            return  # renders are deterministic: the bytes on disk still match
-        if (
-            self.spill_max_bytes is not None
-            and self.spilled_bytes + image.nbytes > self.spill_max_bytes
-        ):
-            return
-        sidecar = self._read_sidecar(index)
-        if sidecar is not None and sidecar[0] == series_hash and sidecar[2] == image.nbytes:
-            # a sibling process already spilled this deterministic render —
-            # adopt its file instead of rewriting identical bytes
-            self._spill_meta[index] = sidecar
-            self.spilled_bytes += sidecar[2]
-            return
-        meta = series_hash + content_hash(image) + image.nbytes.to_bytes(8, "little")
-        # image first, sidecar last: a sidecar only ever describes a complete
-        # image file, and os.replace makes each file appear atomically
-        tmp = f"{self._spill_path(index)}.tmp-{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            np.save(fh, image)  # an open handle keeps np.save from appending .npy
-        os.replace(tmp, self._spill_path(index))
-        tmp = f"{self._meta_path(index)}.tmp-{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(meta)
-        os.replace(tmp, self._meta_path(index))
-        self._spill_meta[index] = (series_hash, content_hash(image), image.nbytes)
-        self.spilled_bytes += image.nbytes
-        self.spill_writes += 1
-
-    def _load_spilled(self, index: int, sample: np.ndarray) -> np.ndarray | None:
-        """Read one image back from the spill tier, or None on any mismatch.
-
-        A stale series hash (the pool changed under the cache) silently drops
-        the entry; a read error or image-hash mismatch (disk corruption) is
-        retried once (``spill_retries``) and then counts a
-        ``readback_failure``.  Either way the caller
-        falls through to a re-render.  Indices this instance never spilled are
-        discovered through their sidecar files, so sibling processes sharing
-        the directory serve each other's renders.
+        ``pool`` is an ``(N, M, T)`` array, read by slicing, or a sharded
+        corpus, read with ``gather`` — either way ``chunk_size`` rows at a
+        time, so a corpus is never densified whole.  With ``max_bytes`` set
+        only the prefix that fits is rendered; the rows beyond it render on
+        every lookup.  The fill replaces whatever the table held.  Returns
+        :meth:`stats`.
         """
-        meta = self._spill_meta.get(index)
-        adopted = False
-        if meta is None:
-            meta = self._read_sidecar(index)
-            if meta is None:
-                return None
-            adopted = True
-        series_hash, image_hash, nbytes = meta
-        if self.validate and series_hash != content_hash(sample):
-            if adopted:
-                return None  # a sibling's file for some other pool: leave it
-            self._drop_spill(index)
-            return None
-        image = None
-        for attempt in range(2):  # one retry: a torn sibling write or a
-            try:  # transient I/O error often clears on the second read
-                fault_point("spill.readback")
-                candidate = np.load(self._spill_path(index), allow_pickle=False)
-            except (OSError, ValueError, InjectedFault):
-                candidate = None
-            if candidate is not None and content_hash(candidate) == image_hash:
-                image = candidate
-                break
-            if attempt == 0:
-                self.spill_retries += 1
-        if image is None:
-            self.readback_failures += 1
-            if adopted:
-                self._spill_meta[index] = meta  # register so the drop cleans up
-                self.spilled_bytes += nbytes
-            self._drop_spill(index)
-            return None
-        if adopted:
-            self._spill_meta[index] = meta
-            self.spilled_bytes += nbytes
-        return image
-
-    def _evict_until_fits(self, incoming: int) -> bool:
-        """Evict LRU entries to make room; False if ``incoming`` can never fit.
-
-        With a spill tier configured, evicted images land on disk instead of
-        being discarded (subject to ``spill_max_bytes``).
-        """
-        if self.max_bytes is None:
-            return True
-        if incoming > self.max_bytes:
-            return False
-        while self._nbytes + incoming > self.max_bytes and self._images:
-            index, evicted = self._images.popitem(last=False)
-            series_hash = self._hashes.pop(index, None)
-            if self.spill_dir is not None and series_hash is not None:
-                self._spill_entry(index, evicted, series_hash)
-            self._nbytes -= evicted.nbytes
-            self.evictions += 1
-        return self._nbytes + incoming <= self.max_bytes
-
-    def insert(self, index: int, sample: np.ndarray, image: np.ndarray) -> bool:
-        """Store one rendered ``image`` for pool ``index``; False if it cannot fit."""
-        index = int(index)
-        if self.max_bytes is not None and image.nbytes > self.max_bytes:
-            return False  # reject before touching any existing entry
-        sample_hash = content_hash(sample)
-        spilled = self._spill_meta.get(index)
-        if spilled is not None and spilled[0] != sample_hash:
-            self._drop_spill(index)  # the pool row changed; the file is stale
-        previous = self._images.pop(index, None)
-        if previous is not None:
-            self._nbytes -= previous.nbytes
-            self._hashes.pop(index, None)
-        if not self._evict_until_fits(image.nbytes):
-            return False
-        if self.max_bytes is not None and image.base is not None:
-            # under a byte budget a view would pin its whole bulk render array
-            # in memory past eviction, so the accounting would under-count;
-            # unbounded caches keep the cheap no-copy views
-            image = image.copy()
-        self._images[index] = image
-        self._hashes[index] = sample_hash
-        self._nbytes += image.nbytes
-        return True
-
-    def precompute_pool(
-        self, pool: np.ndarray, *, chunk_size: int = 512
-    ) -> dict[str, float | int]:
-        """Render a whole ``(N, M, T)`` pool once and cache every image.
-
-        Rendering happens in vectorized chunks of ``chunk_size`` samples; in
-        an unbounded cache the entries are views into each chunk's bulk
-        array, so no per-image copies are made.  With ``max_bytes`` set, only
-        the pool prefix that fits the budget is rendered and cached — nothing
-        beyond it is rasterised (those samples render on demand later), no
-        earlier entry is churned out, and the cached images are standalone
-        copies so eviction actually frees memory.  Returns :meth:`stats`.
-        """
-        pool = np.asarray(pool)
-        if pool.ndim != 3:
+        corpus = _is_corpus(pool)
+        if not corpus:
+            pool = np.asarray(pool)
+        if len(pool.shape) != 3:
             raise ValueError(f"expected (N, M, T) pool, got shape {pool.shape}")
-        n_cacheable = pool.shape[0]
+        self._images.clear()
+        self._hashes.clear()
+        self._nbytes = 0
+        n_rows = pool.shape[0]
         if self.max_bytes is not None:
-            # the image size is known before rendering anything, so the
-            # budgeted prefix can be sized up front
-            image_nbytes = self.renderer.image_nbytes(pool.shape[1])
-            budget_left = max(0, self.max_bytes - self._nbytes)
-            n_cacheable = min(n_cacheable, budget_left // image_nbytes)
-        for start in range(0, n_cacheable, int(chunk_size)):
-            chunk = pool[start : start + min(int(chunk_size), n_cacheable - start)]
+            # the image size is known before rendering anything
+            n_rows = min(n_rows, self.max_bytes // self.renderer.image_nbytes(pool.shape[1]))
+        for start in range(0, n_rows, int(chunk_size)):
+            stop = min(start + int(chunk_size), n_rows)
+            chunk = pool.gather(np.arange(start, stop)) if corpus else pool[start:stop]
+            chunk = np.asarray(chunk, dtype=self.renderer.dtype)
             images = self._render(chunk)
-            for offset in range(chunk.shape[0]):
-                self.insert(start + offset, chunk[offset], images[offset])
+            for offset in range(stop - start):
+                self._images[start + offset] = images[offset]
+                self._hashes[start + offset] = content_hash(chunk[offset])
+            self._nbytes += images.nbytes
         return self.stats()
 
     # ---------------------------------------------------------------- lookups
     def get_batch(self, batch: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Serve rendered images for ``batch`` ``(B, M, T)`` at pool ``indices``.
+        """Images for ``batch`` ``(B, M, T)``, whose rows sit at pool ``indices``.
 
-        Cached entries whose content hash matches the batch row are returned
-        as-is (a *hit*); spilled entries are read back from disk, validated
-        and promoted into the RAM LRU (a *disk hit*); everything else is
-        rendered in one vectorized call (a *miss*) and inserted for the next
-        epoch.
+        A row whose index is in the table with a matching content hash is
+        served from it (a *hit*); every other row is rendered, in one
+        vectorized call (a *miss*), and the table is left as it is.
         """
-        batch = np.asarray(batch)
+        batch = np.asarray(batch, dtype=self.renderer.dtype)
         indices = np.asarray(indices, dtype=np.int64)
         if batch.ndim != 3:
             raise ValueError(f"expected (B, M, T) batch, got shape {batch.shape}")
@@ -400,36 +155,18 @@ class RenderCache:
             raise ValueError(
                 f"indices must be (B,) == ({batch.shape[0]},), got {indices.shape}"
             )
-        cached: dict[int, np.ndarray] = {}
+        served: list[np.ndarray | None] = []
         missing: list[int] = []
         for position, index in enumerate(indices.tolist()):
-            image = self._images.get(index)
-            if image is not None and (
-                not self.validate or self._hashes[index] == content_hash(batch[position])
-            ):
-                self._images.move_to_end(index)
-                cached[position] = image
+            stored = self._hashes.get(index)
+            if stored is not None and stored == content_hash(batch[position]):
+                served.append(self._images[index])
                 self.hits += 1
-                continue
-            if self.spill_dir is not None:
-                readback = self._load_spilled(index, batch[position])
-                if readback is not None:
-                    cached[position] = readback
-                    self.disk_hits += 1
-                    if self.insert_on_miss:
-                        # promote into the RAM LRU: the displaced LRU entry
-                        # spills in turn (its bytes are already on disk, so no
-                        # rewrite), letting hot indices migrate to RAM
-                        self.insert(index, batch[position], readback)
-                    continue
-            missing.append(position)
-            self.misses += 1
-        if not missing:
-            return np.stack([cached[position] for position in range(len(indices))], axis=0)
-        rendered = self._render(batch[missing])
-        for offset, position in enumerate(missing):
-            cached[position] = rendered[offset]
-            index = int(indices[position])
-            if self.insert_on_miss or index in self._images:
-                self.insert(index, batch[position], rendered[offset])
-        return np.stack([cached[position] for position in range(len(indices))], axis=0)
+            else:
+                served.append(None)
+                missing.append(position)
+                self.misses += 1
+        if missing:
+            for position, image in zip(missing, self._render(batch[missing])):
+                served[position] = image
+        return np.stack(served, axis=0)

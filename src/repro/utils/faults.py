@@ -23,7 +23,6 @@ Injection sites currently wired in:
 ``worker.reduce``         gradient worker, before packing gradients
 ``server.worker``         serving worker thread, per dequeued batch
 ``corpus.read_shard``     ``ShardedCorpus`` shard file open
-``spill.readback``        ``RenderCache`` disk-spill readback
 ``checkpoint.write``      atomic writer, after tmp write / before rename
 ========================  ====================================================
 """
@@ -46,7 +45,6 @@ KNOWN_SITES = (
     "worker.reduce",
     "server.worker",
     "corpus.read_shard",
-    "spill.readback",
     "checkpoint.write",
 )
 

@@ -123,7 +123,8 @@ class TestBundleFormat:
         np.savez(legacy, weight=np.zeros(3))
         with pytest.raises(BundleFormatError, match="no manifest"):
             load_bundle(legacy)
-        assert peek_manifest(legacy) is None
+        with pytest.raises(BundleFormatError, match="no manifest"):
+            peek_manifest(legacy)
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         manifest = {"format": "repro-bundle", "schema_version": SCHEMA_VERSION + 1}
@@ -140,8 +141,15 @@ class TestBundleFormat:
 
     def test_damaged_archive_raises_format_error_or_reads_intact(self, tmp_path):
         """Every single-byte flip and every 7th truncation of a saved bundle
-        either raises BundleFormatError or reads back exactly what was saved."""
-        arrays = {"a": np.arange(6, dtype=np.float32), "b": np.eye(3)}
+        either raises BundleFormatError or reads back exactly what was saved.
+
+        ``c`` is larger than zipfile's 4 KiB read chunk, so a flip in its
+        ``.npy`` header reaches NumPy's header parser before the CRC check."""
+        arrays = {
+            "a": np.arange(6, dtype=np.float32),
+            "b": np.eye(3),
+            "c": np.linspace(0.0, 1.0, 1024),
+        }
         path = save_bundle(tmp_path / "bundle", arrays, {"estimator": "demo"})
         _, manifest = load_bundle(path)
         raw = Path(path).read_bytes()
@@ -165,8 +173,7 @@ class TestBundleFormat:
             except BundleFormatError:
                 pass
             else:
-                # a flip that renames the manifest entry reads as a legacy archive
-                assert peeked in (manifest, None)
+                assert peeked == manifest
         with pytest.raises(FileNotFoundError):
             load_bundle(tmp_path / "missing.npz")
         with pytest.raises(FileNotFoundError):
@@ -190,8 +197,8 @@ class TestFullBundleContents:
         assert "finetune.label_map" in arrays
         assert any(key.startswith("finetune.classifier.") for key in arrays)
 
-    def test_aimts_legacy_checkpoint_still_loads(self, tmp_path, tiny_config):
-        """Pre-bundle encoder-only .npz checkpoints load via the fallback path."""
+    def test_aimts_load_rejects_legacy_checkpoint(self, tmp_path, tiny_config):
+        """A pre-bundle encoder-only state-dict archive is not a bundle."""
         from repro.nn.serialization import save_state_dict
 
         model = AimTS(tiny_config)
@@ -200,14 +207,26 @@ class TestFullBundleContents:
             for key, value in module.state_dict().items():
                 state[f"{prefix}.{key}"] = value
         path = save_state_dict(state, tmp_path / "legacy-aimts")
-        restored = AimTS(tiny_config).load(path)
-        assert restored.is_pretrained
-        # the suffixless path given to save works at load time too
-        AimTS(tiny_config).load(tmp_path / "legacy-aimts")
-        np.testing.assert_array_equal(
-            restored.pretrainer.ts_encoder.state_dict()["input_conv.weight"],
-            model.pretrainer.ts_encoder.state_dict()["input_conv.weight"],
-        )
+        with pytest.raises(BundleFormatError, match="no manifest"):
+            AimTS(tiny_config).load(path)
+        with pytest.raises(BundleFormatError, match="no manifest"):
+            load_estimator(path)
+
+    def test_removed_config_field_raises_format_error(self, tmp_path, tiny_config):
+        """A bundle whose stored config names a field this version does not
+        have (e.g. one saved before a config knob was deleted) is rejected by
+        name instead of failing inside the estimator's constructor."""
+        path = AimTS(tiny_config).save(tmp_path / "aimts")
+        arrays, manifest = load_bundle(path)
+        manifest["config"]["cache_spill_dir"] = None
+        manifest["config"]["cache_spill_max_bytes"] = None
+        save_bundle(path, arrays, manifest)
+        with pytest.raises(BundleFormatError, match="cache_spill_dir") as raised:
+            load_estimator(path)
+        assert "cache_spill_max_bytes" in str(raised.value)
+        # AimTS.load restores weights into a configured instance and does not
+        # read the stored config
+        assert AimTS(tiny_config).load(path).is_pretrained is False
 
     def test_baseline_bundle_restores_pretrained_flag(
         self, tmp_path, tiny_baseline_config, small_dataset

@@ -225,16 +225,6 @@ class TestLoaders:
         assert BatchIterator(X32).X is X32  # floating dtype preserved
         assert BatchIterator(X32, dtype=np.float64).X.dtype == np.float64
 
-    def test_batch_iterator_return_indices(self, rng):
-        X = rng.normal(size=(10, 1, 8))
-        iterator = BatchIterator(X, batch_size=4, shuffle=True, seed=0, return_indices=True)
-        seen = []
-        for batch, labels, indices in iterator:
-            assert labels is None
-            np.testing.assert_array_equal(batch, X[indices])
-            seen.extend(indices.tolist())
-        assert sorted(seen) == list(range(10))
-
     def test_build_pretraining_pool_shapes(self):
         corpus = make_monash_like_corpus(3, samples_per_dataset=5, seed=0)
         pool = build_pretraining_pool(corpus, length=32, n_variables=1)

@@ -15,7 +15,7 @@ from repro.data.corpus import (
     read_manifest,
 )
 from repro.data.corpus.__main__ import main as corpus_cli
-from repro.data.loaders import BatchIterator, build_pretraining_pool
+from repro.data.loaders import BatchIterator, build_pretraining_pool, epoch_index_batches
 
 
 @pytest.fixture
@@ -219,7 +219,7 @@ class TestIteration:
         np.testing.assert_array_equal(flat, np.arange(50))
 
     def test_single_shard_matches_in_ram_global_shuffle(self, tmp_path):
-        """The ordering contract BatchIterator's bit-identity rests on."""
+        """The ordering contract the epoch schedule's bit-identity rests on."""
         corpus, X, _ = self.make(tmp_path, n=50, shard_size=64)
         assert corpus.n_shards == 1
         flat = np.concatenate(list(corpus.iter_index_batches(7, rng=np.random.default_rng(9))))
@@ -240,15 +240,6 @@ class TestIteration:
         reference = [b.tolist() for b in corpus.iter_index_batches(7, rng=derived)]
         assert first == reference
 
-    def test_peek_ahead_matches_schedule_prefix(self, tmp_path):
-        corpus, _, _ = self.make(tmp_path)
-        schedule = list(corpus.batches_for_epoch(7, epoch=2, seed=5))
-        window = corpus.peek_ahead(3, 7, epoch=2, seed=5)
-        assert [b.tolist() for b in window] == [b.tolist() for b in schedule[:3]]
-        # peeking never perturbs a later full-epoch regeneration
-        again = list(corpus.batches_for_epoch(7, epoch=2, seed=5))
-        assert [b.tolist() for b in again] == [b.tolist() for b in schedule]
-
     def test_subset_iteration_and_gather(self, tmp_path):
         corpus, X, y = self.make(tmp_path)
         subset = corpus.subset(max_samples=20, seed=1)
@@ -265,34 +256,25 @@ class TestIteration:
 
 
 class TestLoaderIntegration:
-    def test_batch_iterator_over_corpus(self, tmp_path, samples):
-        X, y = samples
-        corpus = write_corpus(tmp_path / "c", X, y, shard_size=6)
-        assert is_sharded_corpus(corpus)
-        iterator = BatchIterator(
-            corpus, batch_size=5, seed=0, dtype="float64", return_indices=True
-        )
-        assert len(iterator) == 5
-        seen = []
-        for batch, labels, indices in iterator:
-            assert batch.dtype == np.float64
-            np.testing.assert_array_equal(batch, X[indices].astype(np.float64))
-            np.testing.assert_array_equal(labels, y[indices])
-            seen.extend(indices.tolist())
-        assert sorted(seen) == list(range(23))
-
     def test_single_shard_corpus_is_bit_identical_to_in_ram(self, tmp_path, samples):
         X, y = samples
         corpus = write_corpus(tmp_path / "c", X, y, shard_size=64)
-        from_corpus = [
-            indices.tolist()
-            for _, _, indices in BatchIterator(corpus, batch_size=5, seed=7, return_indices=True)
-        ]
-        from_ram = [
-            indices.tolist()
-            for _, _, indices in BatchIterator(X, y, batch_size=5, seed=7, return_indices=True)
-        ]
-        assert from_corpus == from_ram
+        assert is_sharded_corpus(corpus)
+        for epoch in range(3):
+            from_corpus = [
+                indices.tolist()
+                for indices in epoch_index_batches(corpus, 5, epoch=epoch, seed=7)
+            ]
+            from_ram = [
+                indices.tolist() for indices in epoch_index_batches(X, 5, epoch=epoch, seed=7)
+            ]
+            assert from_corpus == from_ram
+
+    def test_batch_iterator_rejects_a_corpus(self, tmp_path, samples):
+        X, y = samples
+        corpus = write_corpus(tmp_path / "c", X, y, shard_size=6)
+        with pytest.raises(TypeError, match="epoch_index_batches"):
+            BatchIterator(corpus, batch_size=5)
 
     def test_build_pretraining_pool_passthrough(self, tmp_path):
         corpus = build_synthetic_corpus(tmp_path / "c", ["ecg"], 60, length=24, seed=0)
@@ -321,27 +303,32 @@ class TestPretrainerIntegration:
         assert in_ram.prototype_loss == streamed.prototype_loss
         assert in_ram.series_image_loss == streamed.series_image_loss
 
-    def test_corpus_pretrain_with_spill_renders_each_sample_once(self, tmp_path):
+    def test_corpus_pretrain_over_budget_matches_uncached(self, tmp_path):
         from repro.core import AimTSConfig, AimTSPretrainer
 
         corpus = build_synthetic_corpus(
             tmp_path / "c", ["ecg", "motion"], 60, length=32, shard_size=16, seed=7
         )
-        cfg = AimTSConfig(
+        cfg = dict(
             series_length=32, n_variables=1, panel_size=16, epochs=2,
             batch_size=8, hidden_channels=8, repr_dim=16, proj_dim=8,
             compute_dtype="float32",
-            cache_max_bytes=10 * 16 * 16 * 8,  # ~10 images in RAM
-            cache_spill_dir=str(tmp_path / "spill"),
+            cache_max_bytes=10 * 3 * 16 * 16 * 4,  # 10 of the 60 images
         )
-        pretrainer = AimTSPretrainer(cfg)
+        pretrainer = AimTSPretrainer(AimTSConfig(**cfg))
         history = pretrainer.fit(corpus)
+        uncached = AimTSPretrainer(AimTSConfig(**cfg, cache_images=False)).fit(corpus)
         assert len(history) == 2
-        stats = pretrainer.render_cache.stats()
-        assert stats["rendered_samples"] == 60  # render-once across both epochs
-        assert stats["spill_entries"] > 0
-        assert stats["disk_hits"] > 0
-        assert stats["readback_failures"] == 0
+        cache = pretrainer.render_cache
+        cached = len(cache)
+        assert cached == 10
+        stats = cache.stats()
+        # the table is rendered once up front; the rows beyond it every epoch
+        assert stats["rendered_samples"] == cached + 2 * (60 - cached)
+        assert stats["hits"] == 2 * cached
+        assert history.total_loss == uncached.total_loss
+        assert history.prototype_loss == uncached.prototype_loss
+        assert history.series_image_loss == uncached.series_image_loss
 
 
 class TestCommandLine:

@@ -46,7 +46,7 @@ class ToyLoop(TrainLoop):
     def named_rngs(self):
         return {"loop": self.rng}
 
-    def make_batches(self, rng, epoch):
+    def make_batches(self, epoch):
         order = np.arange(self.X.shape[0])
         self.rng.shuffle(order)
         for start in range(0, order.size, self.batch_size):
@@ -177,8 +177,8 @@ class TestTrainerFit:
         assert any(isinstance(cb, LRSchedulerCallback) for cb in trainer.callbacks)
 
     def test_dtype_policy_carried(self):
-        trainer = make_trainer(dtype_policy=DtypePolicy(image_dtype="float32"))
-        assert trainer.dtype_policy.image_dtype == "float32"
+        trainer = make_trainer(dtype_policy=DtypePolicy(compute_dtype="float32"))
+        assert trainer.dtype_policy.compute_dtype == "float32"
         assert make_trainer().dtype_policy == DtypePolicy()
 
 
@@ -268,7 +268,7 @@ class TestStockCallbacks:
 
     def test_zero_batch_epoch_records_declared_metrics(self):
         class EmptyLoop(ToyLoop):
-            def make_batches(self, rng, epoch):
+            def make_batches(self, epoch):
                 return iter(())
 
         history = make_trainer(EmptyLoop()).fit(2)

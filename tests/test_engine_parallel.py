@@ -303,7 +303,7 @@ class TestTrainerValidation:
             def named_modules(self):
                 return {"model": self.model}
 
-            def make_batches(self, rng, epoch):
+            def make_batches(self, epoch):
                 yield np.zeros((2, 3))
 
             def batch_loss(self, batch):
@@ -447,7 +447,6 @@ def _ts2vec_sharded_run(tmp_path, *, epochs, resume_from=None, checkpoint=False)
     trainer = Trainer(
         loop,
         Adam(list(baseline.parameters()), lr=baseline.config.learning_rate),
-        rng=baseline._rng,
         n_workers=2,
         callbacks=[Checkpointer(tmp_path / "ts2vec_ck")] if checkpoint else [],
     )

@@ -333,7 +333,7 @@ class _MiniLoop(TrainLoop):
     def named_modules(self):
         return {"module": self.module}
 
-    def make_batches(self, rng, epoch):
+    def make_batches(self, epoch):
         yield np.ones((2, 2))
 
     def batch_loss(self, batch):

@@ -36,12 +36,16 @@ class TestRenderCacheBasics:
         assert cache.rendered_samples == pool.shape[0]
 
     def test_cold_lookup_is_a_miss_then_a_hit(self, renderer, pool):
+        # a lookup outside the table renders every time and never fills it
         cache = RenderCache(renderer)
         indices = np.array([1, 2])
-        cache.get_batch(pool[indices], indices)
+        images = cache.get_batch(pool[indices], indices)
+        np.testing.assert_array_equal(images, renderer.render_batch(pool[indices]))
         assert (cache.hits, cache.misses) == (0, 2)
         cache.get_batch(pool[indices], indices)
-        assert (cache.hits, cache.misses) == (2, 2)
+        assert (cache.hits, cache.misses) == (0, 4)
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.rendered_samples == 4
 
     def test_content_hash_mismatch_triggers_rerender(self, renderer, pool):
         cache = RenderCache(renderer)
@@ -50,15 +54,13 @@ class TestRenderCacheBasics:
         images = cache.get_batch(changed, np.array([0]))
         assert cache.misses == 1
         np.testing.assert_array_equal(images, renderer.render_batch(changed))
-        # the refreshed entry now serves the new content
+        # the table is read-only: the stale lookup misses again
         cache.get_batch(changed, np.array([0]))
-        assert cache.misses == 1
-
-    def test_validation_can_be_disabled(self, renderer, pool):
-        cache = RenderCache(renderer, validate=False)
-        cache.precompute_pool(pool)
-        cache.get_batch(pool[[0]] + 1.0, np.array([0]))  # stale but trusted
-        assert cache.misses == 0
+        assert cache.misses == 2
+        # and the original row still hits its entry
+        original = cache.get_batch(pool[[0]], np.array([0]))
+        np.testing.assert_array_equal(original, renderer.render_batch(pool[[0]]))
+        assert (cache.hits, cache.misses) == (1, 2)
 
     def test_content_hash_distinguishes_values_and_shapes(self):
         a = np.zeros((2, 8))
@@ -77,11 +79,15 @@ class TestRenderCacheBasics:
         cache.get_batch(pool[:2].astype(np.float64), np.arange(2))
         assert cache.misses == 0 and cache.hits == 2
 
-    def test_clear_drops_entries(self, renderer, pool):
+    def test_rows_are_keyed_as_the_renderer_reads_them(self, pool):
+        # a float64 pool fills the table that its float32 batches hit
+        renderer = LineChartRenderer(panel_size=16, dtype="float32")
         cache = RenderCache(renderer)
         cache.precompute_pool(pool)
-        cache.clear()
-        assert len(cache) == 0 and cache.nbytes == 0
+        rows = pool[:3].astype(np.float32)
+        images = cache.get_batch(rows, np.arange(3))
+        assert (cache.hits, cache.misses) == (3, 0)
+        np.testing.assert_array_equal(images, renderer.render_batch(rows))
 
     def test_input_validation(self, renderer, pool):
         with pytest.raises(ValueError):
@@ -94,58 +100,34 @@ class TestRenderCacheBasics:
 
 
 class TestRenderCacheEviction:
+    """The byte budget bounds the fill; nothing is evicted or inserted later."""
+
     def test_precompute_caches_only_the_budgeted_prefix(self, renderer, pool):
         image_nbytes = renderer.render_batch(pool[:1]).nbytes
         cache = RenderCache(renderer, max_bytes=4 * image_nbytes)
         stats = cache.precompute_pool(pool)
-        assert len(cache) == 4
-        assert sorted(cache._images) == [0, 1, 2, 3]  # prefix kept, no churn
-        assert cache.nbytes <= cache.max_bytes
-        assert cache.evictions == 0
+        assert stats["entries"] == 4
+        assert cache.nbytes == 4 * image_nbytes <= cache.max_bytes
         # nothing beyond the budget was rasterised up front
         assert stats["rendered_samples"] == 4
-
-    def test_eviction_respects_budget_and_frees_memory(self, renderer, pool):
-        image_nbytes = renderer.render_batch(pool[:1]).nbytes
-        cache = RenderCache(renderer, max_bytes=4 * image_nbytes)
-        cache.precompute_pool(pool)
-        cache.get_batch(pool[4:10], np.arange(4, 10))  # 6 misses -> churn
-        assert cache.nbytes <= cache.max_bytes
-        assert cache.evictions > 0
-        # budgeted entries are standalone copies (a view would pin the whole
-        # bulk render array past eviction) and evicted hashes are dropped
-        assert all(image.base is None for image in cache._images.values())
-        assert set(cache._hashes) == set(cache._images)
-
-    def test_least_recently_used_goes_first(self, renderer, pool):
-        image_nbytes = renderer.render_batch(pool[:1]).nbytes
-        cache = RenderCache(renderer, max_bytes=2 * image_nbytes)
-        cache.get_batch(pool[[0, 1]], np.array([0, 1]))
-        cache.get_batch(pool[[0]], np.array([0]))  # touch 0 so 1 is the LRU
-        cache.get_batch(pool[[2]], np.array([2]))  # evicts 1
-        assert 0 in cache and 2 in cache and 1 not in cache
-
-    def test_rejected_insert_keeps_existing_entry(self, renderer, pool):
-        image = renderer.render_batch(pool[:1])[0]
-        cache = RenderCache(renderer, max_bytes=2 * image.nbytes)
-        assert cache.insert(0, pool[0], image)
-        too_big = np.zeros((3, 64, 64))  # exceeds the whole budget
-        assert not cache.insert(0, pool[0], too_big)
-        assert 0 in cache  # the valid entry survived the failed replacement
-        np.testing.assert_array_equal(cache.get_batch(pool[:1], np.array([0]))[0], image)
-        assert cache.misses == 0
+        # the prefix hits; lookups beyond the budget never grow the table
+        cache.get_batch(pool[2:8], np.arange(2, 8))
+        assert (cache.hits, cache.misses) == (2, 4)
+        assert len(cache) == 4
 
     def test_insert_on_miss_false_freezes_the_prefix(self, renderer, pool):
         image_nbytes = renderer.render_batch(pool[:1]).nbytes
-        cache = RenderCache(renderer, max_bytes=4 * image_nbytes, insert_on_miss=False)
+        cache = RenderCache(renderer, max_bytes=4 * image_nbytes)
         cache.precompute_pool(pool)
-        cache.get_batch(pool[2:8], np.arange(2, 8))  # 2 hits, 4 frozen misses
-        assert (cache.hits, cache.misses, cache.evictions) == (2, 4, 0)
-        assert sorted(cache._images) == [0, 1, 2, 3]  # prefix untouched
-        # a stale cached index is still refreshed in place
+        for _ in range(2):  # a second epoch misses the same rows again
+            cache.get_batch(pool[2:8], np.arange(2, 8))
+        assert (cache.hits, cache.misses) == (4, 8)
+        assert cache.stats()["entries"] == 4 and cache.nbytes == 4 * image_nbytes
+        assert cache.rendered_samples == 4 + 8
+        # a stale cached index is rendered on every lookup, never refreshed
         cache.get_batch(pool[[0]] + 1.0, np.array([0]))
         cache.get_batch(pool[[0]] + 1.0, np.array([0]))
-        assert cache.misses == 5  # only the first stale lookup missed
+        assert cache.misses == 10
 
     def test_oversized_image_is_not_cached(self, renderer, pool):
         cache = RenderCache(renderer, max_bytes=8)  # smaller than any image
@@ -154,156 +136,22 @@ class TestRenderCacheEviction:
         cache.get_batch(pool[:2], np.arange(2))
         assert len(cache) == 0 and cache.misses == 2
 
+    def test_corpus_fill_matches_the_materialized_pool(self, renderer, tmp_path):
+        from repro.data.corpus import build_synthetic_corpus
 
-class TestRenderCacheSpill:
-    def spill_cache(self, renderer, tmp_path, ram_images=4, **kwargs):
+        corpus = build_synthetic_corpus(
+            tmp_path / "c", ["ecg", "motion"], 30, length=32, shard_size=7, seed=3
+        )
         image_nbytes = renderer.image_nbytes(1)
-        return RenderCache(
-            renderer,
-            max_bytes=ram_images * image_nbytes,
-            spill_dir=tmp_path / "spill",
-            **kwargs,
-        )
-
-    def test_evictions_spill_and_serve_disk_hits(self, renderer, pool, tmp_path):
-        cache = self.spill_cache(renderer, tmp_path)
-        ref = renderer.render_batch(pool)
-        cache.get_batch(pool, np.arange(len(pool)))  # 12 renders, 8 spill
-        stats = cache.stats()
-        assert stats["entries"] == 4
-        assert stats["spill_entries"] == len(pool) - 4
-        assert stats["spilled_bytes"] == (len(pool) - 4) * renderer.image_nbytes(1)
-        assert len(list((tmp_path / "spill").glob("img-*.npy"))) == len(pool) - 4
-        # second epoch: everything is served from RAM or disk, zero re-renders
-        out = cache.get_batch(pool, np.arange(len(pool)))
-        np.testing.assert_array_equal(out, ref)
-        assert cache.rendered_samples == len(pool)
-        assert cache.disk_hits > 0
-        assert cache.readback_failures == 0
-
-    def test_each_image_is_written_to_disk_at_most_once(self, renderer, pool, tmp_path):
-        cache = self.spill_cache(renderer, tmp_path)
-        for _ in range(3):  # promotion/demotion cycles across epochs
-            cache.get_batch(pool, np.arange(len(pool)))
-        # deterministic renders: demoting an already-spilled entry is a no-op
-        assert cache.spill_writes == cache.stats()["spill_entries"]
-
-    def test_corrupted_spill_file_counts_readback_failure(self, renderer, pool, tmp_path):
-        cache = self.spill_cache(renderer, tmp_path)
-        cache.get_batch(pool, np.arange(len(pool)))
-        victim = sorted(cache._spill_meta)[0]
-        path = tmp_path / "spill" / f"img-{victim:09d}.npy"
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(raw)
-        out = cache.get_batch(pool[[victim]], np.array([victim]))
-        np.testing.assert_array_equal(out[0], renderer.render_batch(pool[[victim]])[0])
-        assert cache.readback_failures == 1
-        assert victim not in cache._spill_meta  # the bad file was dropped
-
-    def test_stale_series_drops_spill_entry_silently(self, renderer, pool, tmp_path):
-        cache = self.spill_cache(renderer, tmp_path)
-        cache.get_batch(pool, np.arange(len(pool)))
-        victim = sorted(cache._spill_meta)[0]
-        assert victim not in cache._images
-        changed = pool[[victim]] + 1.0
-        out = cache.get_batch(changed, np.array([victim]))
-        np.testing.assert_array_equal(out[0], renderer.render_batch(changed)[0])
-        assert cache.readback_failures == 0  # staleness is not corruption
-        assert victim not in cache._spill_meta
-
-    def test_spill_byte_budget_is_respected(self, renderer, pool, tmp_path):
-        image_nbytes = renderer.image_nbytes(1)
-        cache = self.spill_cache(
-            renderer, tmp_path, ram_images=2, spill_max_bytes=3 * image_nbytes
-        )
-        cache.get_batch(pool, np.arange(len(pool)))
-        stats = cache.stats()
-        assert stats["spill_entries"] == 3
-        assert stats["spilled_bytes"] == 3 * image_nbytes
-        assert len(list((tmp_path / "spill").glob("img-*.npy"))) == 3
-
-    def test_clear_removes_spill_files(self, renderer, pool, tmp_path):
-        cache = self.spill_cache(renderer, tmp_path)
-        cache.get_batch(pool, np.arange(len(pool)))
-        cache.clear()
-        assert cache.stats()["spill_entries"] == 0
-        assert not list((tmp_path / "spill").glob("img-*.npy"))
-
-    def test_spill_configuration_validation(self, renderer, tmp_path):
-        with pytest.raises(ValueError):
-            RenderCache(renderer, spill_max_bytes=1024)  # needs spill_dir
-        with pytest.raises(ValueError):
-            RenderCache(renderer, spill_dir=tmp_path, spill_max_bytes=0)
-
-
-class TestRenderCacheSpillSharing:
-    """Several cache instances (e.g. pipelined producer processes) over one
-    spill directory: files appear atomically with ``.meta`` sidecars, so
-    siblings serve and adopt each other's renders instead of re-rendering."""
-
-    def two_caches(self, renderer, tmp_path, ram_images=4):
-        image_nbytes = renderer.image_nbytes(1)
-        make = lambda: RenderCache(  # noqa: E731 - tiny local factory
-            renderer, max_bytes=ram_images * image_nbytes, spill_dir=tmp_path / "spill"
-        )
-        return make(), make()
-
-    def test_sibling_serves_existing_spill_files_without_rendering(
-        self, renderer, pool, tmp_path
-    ):
-        first, second = self.two_caches(renderer, tmp_path)
-        ref = renderer.render_batch(pool)
-        first.get_batch(pool, np.arange(len(pool)))
-        spilled = np.array(sorted(first._spill_meta))
-        out = second.get_batch(pool[spilled], spilled)
-        np.testing.assert_array_equal(out, ref[spilled])
-        # every request was discovered through a sidecar: zero renders
-        assert second.rendered_samples == 0
-        assert second.disk_hits == len(spilled)
-
-    def test_sibling_adopts_files_instead_of_rewriting(self, renderer, pool, tmp_path):
-        first, second = self.two_caches(renderer, tmp_path)
-        first.get_batch(pool, np.arange(len(pool)))
-        second.get_batch(pool, np.arange(len(pool)))
-        stats = second.stats()
-        # the sibling registered the files it evicted back onto disk without
-        # writing a single byte — the deterministic render is already there
-        assert second.spill_writes == 0
-        assert stats["spill_entries"] > 0
-        assert stats["spilled_bytes"] == stats["spill_entries"] * renderer.image_nbytes(1)
-
-    def test_stale_sidecar_of_another_pool_is_not_adopted(self, renderer, pool, tmp_path):
-        first, second = self.two_caches(renderer, tmp_path)
-        first.get_batch(pool, np.arange(len(pool)))
-        victim = sorted(first._spill_meta)[0]
-        changed = pool[[victim]] + 1.0
-        out = second.get_batch(changed, np.array([victim]))
-        np.testing.assert_array_equal(out[0], renderer.render_batch(changed)[0])
-        assert second.rendered_samples == 1  # mismatch → fresh render
-        assert second.readback_failures == 0  # staleness is not corruption
-        # the other instance's file was left alone (it may still be valid there)
-        assert victim in first._spill_meta
-        np.testing.assert_array_equal(
-            first.get_batch(pool[[victim]], np.array([victim]))[0],
-            renderer.render_batch(pool[[victim]])[0],
-        )
-
-    def test_discovered_corrupt_file_counts_failure_and_is_removed(
-        self, renderer, pool, tmp_path
-    ):
-        first, second = self.two_caches(renderer, tmp_path)
-        first.get_batch(pool, np.arange(len(pool)))
-        victim = sorted(first._spill_meta)[0]
-        path = tmp_path / "spill" / f"img-{victim:09d}.npy"
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(raw)
-        out = second.get_batch(pool[[victim]], np.array([victim]))
-        np.testing.assert_array_equal(out[0], renderer.render_batch(pool[[victim]])[0])
-        assert second.readback_failures == 1
-        assert not path.exists()  # the bad file (and its sidecar) were dropped
-        assert not path.with_name(path.name + ".meta").exists()
+        from_corpus = RenderCache(renderer, max_bytes=20 * image_nbytes)
+        from_array = RenderCache(renderer, max_bytes=20 * image_nbytes)
+        # chunks smaller than a shard and not aligned to shard boundaries
+        from_corpus.precompute_pool(corpus, chunk_size=6)
+        from_array.precompute_pool(corpus.materialize(), chunk_size=6)
+        assert len(from_corpus) == len(from_array) == 20
+        assert from_corpus._hashes == from_array._hashes
+        for index, image in from_array._images.items():
+            np.testing.assert_array_equal(from_corpus._images[index], image)
 
 
 class TestPretrainerCacheIntegration:
@@ -355,34 +203,16 @@ class TestPretrainerCacheIntegration:
         )
         history = pretrainer.fit(pool)
         assert pretrainer.render_cache.nbytes <= 4 * image_nbytes
-        # a budget smaller than the pool must not churn the LRU during fit
-        assert pretrainer.render_cache.evictions == 0
+        # a budget smaller than the pool holds exactly the prefix it fits
+        assert pretrainer.render_cache.stats()["entries"] == 4
         assert len(history.series_image_loss) == 2
 
     def test_default_cache_budget_is_finite(self):
         assert AimTSConfig().cache_max_bytes == 256 * 1024 * 1024
 
-    def test_spill_config_reaches_the_cache(self, rng, tmp_path):
-        pool = rng.normal(size=(12, 1, 32))
-        image_nbytes = 3 * 16 * 16 * 8
-        pretrainer = AimTSPretrainer(
-            self._config(
-                cache_max_bytes=4 * image_nbytes,
-                cache_spill_dir=str(tmp_path / "spill"),
-            )
-        )
-        history = pretrainer.fit(pool)
-        stats = pretrainer.render_cache.stats()
-        # with the spill tier on, evicted renders land on disk and hit later,
-        # so the whole pool still renders exactly once across both epochs
-        assert stats["rendered_samples"] == pool.shape[0]
-        assert stats["spill_entries"] > 0
-        assert stats["disk_hits"] > 0
-        assert len(history.series_image_loss) == 2
-
     def test_float32_image_dtype_pipeline(self, rng):
         pool = rng.normal(size=(12, 1, 32))
-        pretrainer = AimTSPretrainer(self._config(image_dtype="float32"))
+        pretrainer = AimTSPretrainer(self._config(compute_dtype="float32"))
         history = pretrainer.fit(pool)
         assert pretrainer.renderer.dtype == np.float32
         assert np.isfinite(history.series_image_loss).all()

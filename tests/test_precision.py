@@ -199,7 +199,7 @@ class TestTrainingDtypeParity:
     def test_pretrain_curves_agree_across_dtypes(self, pool):
         h64 = AimTSPretrainer(small_config()).fit(pool)
         h32 = AimTSPretrainer(
-            small_config(compute_dtype="float32", image_dtype="float32")
+            small_config(compute_dtype="float32")
         ).fit(pool)
         assert np.allclose(h64.total_loss, h32.total_loss, rtol=1e-3, atol=1e-3)
         assert np.allclose(h64.prototype_loss, h32.prototype_loss, rtol=1e-3, atol=1e-3)
@@ -509,9 +509,7 @@ class TestStepArenaCurveParity:
     def test_pretrain_curves_bit_identical_arena_on_off(self, dtype, pool):
         histories = {}
         for step_arena in (True, False):
-            config = small_config(
-                compute_dtype=dtype, image_dtype=dtype, step_arena=step_arena
-            )
+            config = small_config(compute_dtype=dtype, step_arena=step_arena)
             histories[step_arena] = AimTSPretrainer(config).fit(pool)
         for metric in ("total_loss", "prototype_loss", "series_image_loss"):
             on = getattr(histories[True], metric)
@@ -527,7 +525,7 @@ class TestCheckpointDtypeFidelity:
         from repro.api import load_estimator, make_estimator
 
         model = make_estimator(
-            "aimts", config=small_config(compute_dtype="float32", image_dtype="float32")
+            "aimts", config=small_config(compute_dtype="float32")
         )
         model.pretrain(pool)
         path = model.save(tmp_path / "model32")

@@ -10,9 +10,8 @@ producer/worker crash + respawn with replayed steps (AimTS and SimCLR loss
 curves ``==`` the no-fault run), restart-budget exhaustion degrading to the
 inline path with a recorded warning, serving overload shedding (also under
 racing submitters) / deadline expiry / dead-worker replacement / the
-submit-time sample copy, corpus read retries + quarantine, atomic
-bundle/checkpoint writes surviving an injected crash, and the render cache's
-spill readback retry.
+submit-time sample copy, corpus read retries + quarantine, and atomic
+bundle/checkpoint writes surviving an injected crash.
 
 The chaos stress workflow (``.github/workflows/chaos.yml``) reruns this file
 with randomized fault seeds via ``REPRO_CHAOS_SEED``.
@@ -37,7 +36,6 @@ from repro.data.corpus import CorpusReadError, CorpusWriter, ShardedCorpus
 from repro.data.corpus.__main__ import main as corpus_main
 from repro.engine import Callback, Checkpointer
 from repro.engine.parallel import RestartPolicy
-from repro.imaging import LineChartRenderer, RenderCache
 from repro.serving import (
     DeadlineExceededError,
     ModelServer,
@@ -609,7 +607,7 @@ class TestCorpusReliability:
 
 
 # --------------------------------------------------------------------------- #
-# durable state: atomic writes + checkpoint retention + spill retry
+# durable state: atomic writes + checkpoint retention
 # --------------------------------------------------------------------------- #
 class TestAtomicWrites:
     def test_injected_crash_during_save_keeps_the_old_bundle(self, tmp_path):
@@ -670,23 +668,3 @@ class TestAtomicWrites:
             trainer.state.epoch = epoch
             checkpointer.on_epoch_end(trainer, {})
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
-
-
-class TestSpillReadbackRetry:
-    def test_transient_readback_fault_is_retried_once(self, tmp_path, rng):
-        renderer = LineChartRenderer(panel_size=16)
-        pool = rng.normal(size=(8, 1, 32))
-        cache = RenderCache(
-            renderer,
-            max_bytes=2 * renderer.image_nbytes(1),
-            spill_dir=tmp_path / "spill",
-        )
-        cache.get_batch(pool, np.arange(len(pool)))  # fills RAM, spills the rest
-        victim = sorted(cache._spill_meta)[0]
-        with faults.armed(FaultPlan([("spill.readback", 0)])):
-            out = cache.get_batch(pool[[victim]], np.array([victim]))
-        np.testing.assert_array_equal(out[0], renderer.render_batch(pool[[victim]])[0])
-        stats = cache.stats()
-        assert stats["spill_retries"] == 1
-        assert stats["readback_failures"] == 0
-        assert victim in cache._spill_meta  # the entry survived the hiccup
