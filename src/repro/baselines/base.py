@@ -28,6 +28,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.loaders import build_pretraining_pool, epoch_index_batches, z_normalize
 from repro.encoders import ProjectionHead, TSEncoder
 from repro.engine import DtypePolicy, History, ProgressLogger, Trainer, TrainLoop
+from repro.engine.parallel import PersistentPools
 from repro.nn import Adam, StepArena
 from repro.nn.inference import DEFAULT_SERVING_BATCH_SIZE
 from repro.nn.tensor import Tensor, default_dtype
@@ -63,8 +64,8 @@ class BaselineConfig:
     augment_batched: bool = True
     #: where the produce stage runs, mirroring AimTSConfig: 0 inline on the
     #: parent, n_producers >= 1 in producer processes through a ring of
-    #: prefetch_depth >= 2 slots; per-batch streams are keyed by
-    #: SeedSequence([seed, epoch, step]) either way.
+    #: prefetch_depth >= 2 slots (look-ahead: one step per producer); per-batch
+    #: streams are keyed by SeedSequence([seed, epoch, step]) either way.
     n_producers: int = 0
     prefetch_depth: int = 2
     #: pooled autograd workspaces across training steps (StepArena),
@@ -97,7 +98,7 @@ class BaselineConfig:
             )
 
 
-class SelfSupervisedBaseline(FineTunedPredictorMixin):
+class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
     """Base class for contrastive / reconstruction pre-training baselines.
 
     Subclasses split their objective in two stages.  :meth:`pipeline_produce`
@@ -130,17 +131,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         self._label_map: np.ndarray | None = None
         #: the engine driver of the most recent / active pretrain() call
         self.trainer: Trainer | None = None
-        #: persistent gradient worker pool (config.n_workers >= 2), spawned
-        #: lazily on the first pretrain() — see :meth:`shutdown_workers`
-        self._worker_pool = None
-        #: persistent batch-producer pool (config.n_producers >= 1), spawned
-        #: lazily on the first pretrain() — see :meth:`shutdown_workers`
-        self._producer_pool = None
-        #: optional :class:`repro.engine.parallel.RestartPolicy` armed on the
-        #: pools (and the trainer's degradation ladder); set it before
-        #: pretrain().  Kept off the config so injectable test clocks never
-        #: travel to spawn children with the pickled config.
-        self.restart_policy = None
 
     def _build_encoder(self) -> TSEncoder:
         return TSEncoder(
@@ -254,37 +244,9 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         epochs = epochs if epochs is not None else self.config.epochs
         optimizer = Adam(list(self.parameters()), lr=self.config.learning_rate)
         loop = _BaselinePretrainLoop(self, X)
-        # a pool that broke (or was closed) in an earlier fit is replaced, not
-        # reused — e.g. after the trainer degraded a pipelined fit to inline
-        if self._worker_pool is not None and not self._worker_pool.usable:
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._producer_pool is not None and not self._producer_pool.usable:
-            self._producer_pool.close()
-            self._producer_pool = None
-        if self.config.n_workers > 1 and self._worker_pool is None:
-            from repro.engine.parallel import GradientWorkerPool
-
-            # persistent pool: spawned once, reused by every subsequent fit
-            self._worker_pool = GradientWorkerPool(
-                loop.worker_factory(),
-                list(self.parameters()),
-                n_workers=self.config.n_workers,
-                compute_dtype=self.dtype_policy.compute_dtype,
-                restart_policy=self.restart_policy,
-                step_arena=self.config.step_arena,
-            )
-        if self.config.n_producers >= 1 and self._producer_pool is None:
-            from repro.engine.parallel import ProducerPool
-
-            # persistent producers: replicas are pure functions of the config
-            self._producer_pool = ProducerPool(
-                loop.producer_factory(),
-                n_producers=self.config.n_producers,
-                prefetch_depth=self.config.prefetch_depth,
-                compute_dtype=self.dtype_policy.compute_dtype,
-                restart_policy=self.restart_policy,
-            )
+        self._open_pools(
+            loop, list(self.parameters()), self.config, self.dtype_policy.compute_dtype
+        )
         history = History()
         engine_callbacks = list(callbacks)
         if verbose:
@@ -306,16 +268,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin):
         self.trainer.fit(epochs)
         self._pretrained = True
         return history.curve("loss")
-
-    def shutdown_workers(self) -> None:
-        """Stop the persistent worker and producer pools (idempotent no-op
-        when sequential / already stopped)."""
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._producer_pool is not None:
-            self._producer_pool.close()
-            self._producer_pool = None
 
     # ------------------------------------------------------------- evaluation
     def fine_tune(

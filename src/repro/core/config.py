@@ -81,11 +81,13 @@ class AimTSConfig:
         ``n_producers >= 1`` producer processes work ahead of the gradient
         step, publishing finished batches through a bounded shared-memory
         ring of ``prefetch_depth >= 2`` slots (see
-        :class:`repro.engine.parallel.ProducerPool`).  Every draw is keyed by
-        ``SeedSequence([seed, epoch, step])``, so the loss curve is
-        bit-identical at any producer count, which may also change across a
-        resume.  Producer processes require the sequential gradient path
-        (``n_workers=1``).
+        :class:`repro.engine.parallel.ProducerPool`).  Each producer works on
+        one step at a time, so the look-ahead is at most one step per
+        producer and a depth above ``n_producers + 1`` adds nothing.  Every
+        draw is keyed by ``SeedSequence([seed, epoch, step])``, so the loss
+        curve is bit-identical at any producer count, which may also change
+        across a resume.  Producer processes require the sequential gradient
+        path (``n_workers=1``).
     augment_batched:
         Route the augmentation bank through the vectorized batch kernels
         (bit-identical to the per-sample reference loops under the same RNG

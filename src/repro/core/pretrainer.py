@@ -26,7 +26,7 @@ from repro.core.losses import prototype_loss, series_image_loss
 from repro.core.mixup import sample_mixup_coefficients
 from repro.core.prototypes import adaptive_temperatures, aggregate_prototype, pairwise_view_distances
 from repro.data.dataset import TimeSeriesDataset
-from repro.data.loaders import _is_corpus, build_pretraining_pool, epoch_index_batches
+from repro.data.loaders import build_pretraining_pool, epoch_index_batches, is_sharded_corpus
 from repro.encoders import ImageEncoder, ProjectionHead, TSEncoder
 from repro.engine import (
     DtypePolicy,
@@ -36,6 +36,7 @@ from repro.engine import (
     TrainLoop,
     shard_arrays,
 )
+from repro.engine.parallel import PersistentPools
 from repro.engine.profiler import profiled_phase
 from repro.imaging import LineChartRenderer, RenderCache
 from repro.nn import Adam, StepArena, StepLR, Tensor
@@ -198,7 +199,7 @@ def _pretrain_worker_replica(config: AimTSConfig):
     return _PretrainLoop(AimTSPretrainer(config))
 
 
-class AimTSPretrainer:
+class AimTSPretrainer(PersistentPools):
     """Runs the AimTS pre-training stage on a multi-source corpus.
 
     Parameters
@@ -247,19 +248,6 @@ class AimTSPretrainer:
         self.history = PretrainHistory(self._engine_history)
         #: the engine driver of the most recent / active fit() call
         self.trainer: Trainer | None = None
-        #: persistent gradient worker pool (config.n_workers >= 2), spawned
-        #: lazily on the first fit() and reused across fits — see
-        #: :meth:`shutdown_workers`
-        self._worker_pool = None
-        #: persistent batch-producer pool (config.n_producers >= 1 with a
-        #: real prefetch depth), spawned lazily on the first fit() and reused
-        #: across fits — see :meth:`shutdown_workers`
-        self._producer_pool = None
-        #: optional :class:`repro.engine.parallel.RestartPolicy` armed on the
-        #: pools (and the trainer's degradation ladder); set it before fit().
-        #: Kept off the config so injectable test clocks never travel to
-        #: spawn children with the pickled config.
-        self.restart_policy = None
         #: time the training-step phases (render / augment / forward /
         #: backward / optimizer) of the next fit(); per-epoch exclusive
         #: seconds land in the history as ``profile_<phase>_seconds`` columns
@@ -422,7 +410,7 @@ class AimTSPretrainer:
                 max_samples=max_samples,
                 seed=self._rng,
             )
-            if not _is_corpus(pool):
+            if not is_sharded_corpus(pool):
                 pool = pool.astype(compute_dtype, copy=False)
 
         optimizer = Adam(list(self.parameters()), lr=cfg.learning_rate)
@@ -439,38 +427,7 @@ class AimTSPretrainer:
             self.render_cache.precompute_pool(pool)
 
         loop = _PretrainLoop(self, pool, self.render_cache)
-        # a pool that broke (or was closed) in an earlier fit is replaced, not
-        # reused — e.g. after the trainer degraded a pipelined fit to inline
-        if self._worker_pool is not None and not self._worker_pool.usable:
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._producer_pool is not None and not self._producer_pool.usable:
-            self._producer_pool.close()
-            self._producer_pool = None
-        if cfg.n_workers > 1 and self._worker_pool is None:
-            from repro.engine.parallel import GradientWorkerPool
-
-            # persistent pool: spawned once, reused by every subsequent fit
-            self._worker_pool = GradientWorkerPool(
-                loop.worker_factory(),
-                list(self.parameters()),
-                n_workers=cfg.n_workers,
-                compute_dtype=self.dtype_policy.compute_dtype,
-                restart_policy=self.restart_policy,
-                step_arena=cfg.step_arena,
-            )
-        if pipelined and self._producer_pool is None:
-            from repro.engine.parallel import ProducerPool
-
-            # persistent producers: replicas are pure functions of the config,
-            # so reusing them across fits is always safe
-            self._producer_pool = ProducerPool(
-                loop.producer_factory(),
-                n_producers=cfg.n_producers,
-                prefetch_depth=cfg.prefetch_depth,
-                compute_dtype=self.dtype_policy.compute_dtype,
-                restart_policy=self.restart_policy,
-            )
+        self._open_pools(loop, list(self.parameters()), cfg, self.dtype_policy.compute_dtype)
         engine_callbacks = list(callbacks)
         if verbose:
             engine_callbacks.insert(
@@ -500,16 +457,6 @@ class AimTSPretrainer:
             self.trainer.load_checkpoint(resume_from)
         self.trainer.fit(n_epochs)
         return self.history
-
-    def shutdown_workers(self) -> None:
-        """Stop the persistent worker and producer pools (idempotent no-op
-        when sequential / already stopped)."""
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._producer_pool is not None:
-            self._producer_pool.close()
-            self._producer_pool = None
 
     # ------------------------------------------------------------------ utils
     def encode(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
@@ -596,7 +543,7 @@ class _PretrainLoop(TrainLoop):
         ):
             if indices.size < 2:
                 continue  # contrastive losses need at least two samples
-            if _is_corpus(self.pool):
+            if is_sharded_corpus(self.pool):
                 series = self.pool.gather(indices).astype(dtype, copy=False)
             else:
                 series = self.pool[indices]

@@ -29,7 +29,6 @@ from repro.data.corpus.reader import (
     CorpusReaderBase,
     CorpusSubset,
     ShardedCorpus,
-    is_sharded_corpus,
 )
 from repro.data.corpus.synthetic import (
     DEFAULT_BLOCK_SIZE,
@@ -37,6 +36,7 @@ from repro.data.corpus.synthetic import (
     generate_family_samples,
 )
 from repro.data.corpus.writer import CorpusWriter
+from repro.data.loaders import is_sharded_corpus
 
 __all__ = [
     "CorpusFormatError",

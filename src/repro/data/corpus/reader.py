@@ -39,15 +39,6 @@ class CorpusReadError(CorpusFormatError):
     """A shard file stayed unreadable after the configured read retries."""
 
 
-def is_sharded_corpus(obj) -> bool:
-    """Duck-typed corpus check used by the loaders (no import cycle)."""
-    return (
-        hasattr(obj, "gather")
-        and hasattr(obj, "iter_index_batches")
-        and hasattr(obj, "sample_shape")
-    )
-
-
 class CorpusReaderBase:
     """Shared protocol of :class:`ShardedCorpus` and :class:`CorpusSubset`.
 

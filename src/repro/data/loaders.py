@@ -89,7 +89,7 @@ def select_variables(X: np.ndarray, n_variables: int) -> np.ndarray:
     return np.tile(X, (1, repeats, 1))[:, :n_variables]
 
 
-def _is_corpus(obj) -> bool:
+def is_sharded_corpus(obj) -> bool:
     """Duck-typed check for the out-of-core readers of :mod:`repro.data.corpus`.
 
     Duck-typed (not an isinstance) so this hot module never imports the
@@ -133,7 +133,7 @@ class BatchIterator:
         dtype: str | np.dtype | None = None,
     ):
         check_positive("batch_size", batch_size)
-        if _is_corpus(X):  # np.asarray would densify it sample by sample
+        if is_sharded_corpus(X):  # np.asarray would densify it sample by sample
             raise TypeError(
                 "BatchIterator takes in-RAM arrays; stream a sharded corpus with "
                 "epoch_index_batches and its gather()"
@@ -177,7 +177,7 @@ def epoch_index_batches(
     """
     check_positive("batch_size", batch_size)
     batch_size = int(batch_size)
-    if _is_corpus(pool):
+    if is_sharded_corpus(pool):
         yield from pool.batches_for_epoch(
             batch_size, epoch=epoch, seed=seed, shuffle=shuffle
         )
@@ -211,7 +211,7 @@ def build_pretraining_pool(
     for :func:`epoch_index_batches` to stream, never densified.
     """
     rng = new_rng(seed)
-    if _is_corpus(corpus):
+    if is_sharded_corpus(corpus):
         if corpus.sample_shape != (n_variables, length):
             raise ValueError(
                 f"corpus sample shape {corpus.sample_shape} does not match the "

@@ -1,9 +1,12 @@
 """Sharded data-parallel gradient workers and pipelined batch producers.
 
-A :class:`GradientWorkerPool` keeps ``n_workers`` **persistent** spawn-safe
-``multiprocessing`` processes alive across the whole ``fit``.  Each worker
-builds one replica of the training loop's modules (via the loop's picklable
-``worker_factory``), and every optimizer step then runs as:
+Both pools run **persistent** spawn-safe ``multiprocessing`` children, each
+with a private duplex pipe to the parent (:class:`_ChildPool`).
+
+A :class:`GradientWorkerPool` keeps ``n_workers`` gradient workers alive
+across the whole ``fit``.  Each worker builds one replica of the training
+loop's modules (via the loop's picklable ``worker_factory``), and every
+optimizer step then runs as:
 
 1. the parent packs the current parameters into a shared-memory buffer
    (one contiguous block per dtype — see :class:`repro.nn.flat.FlatLayout`);
@@ -35,34 +38,40 @@ Determinism contract
   parallel contrastive training), so a 2-worker curve is not the 1-worker
   curve — only reproducible against itself.
 
-Pipelined producers (PR 8)
---------------------------
+Pipelined producers
+-------------------
 :class:`ProducerPool` runs the *produce* side of a training step (render +
-augment) in ``n_producers`` persistent spawn processes ahead of the gradient
-step.  Finished batches are published through a bounded shared-memory
+augment) in ``n_producers`` producer processes ahead of the gradient step.
+Finished batches are published through a bounded shared-memory
 :class:`RingArena` (``prefetch_depth`` slots, per-slot acquire/release
 handshake on the parent), so the consumer reads zero-copy views while the
 producers already work on later steps.  Determinism is *step-keyed*: every
 per-batch stochastic stream derives from ``SeedSequence([seed, epoch,
 step])`` (:func:`derive_step_seed`), never from arrival order or producer
-identity — the pipelined loss curve is bit-identical at any producer count,
-and producers can grow/shrink between epochs without changing it.
+identity — the pipelined loss curve is bit-identical at any producer count.
 
-Self-healing (PR 9)
--------------------
-Both pools accept a :class:`RestartPolicy`.  With one armed, a crashed
-producer or gradient worker is respawned (bounded restarts, exponential
-backoff with deterministic jitter) and the in-flight steps are replayed:
-producers re-run exactly the steps whose results were never consumed (their
-streams are step-keyed, so the replay is bit-identical), and a respawned
-gradient worker re-receives its shard message and recomputes the loss, a
-pure function of the shard and the broadcast parameters — the reduced
-gradient matches the no-crash run bit for bit.  A child killed from outside
-(SIGKILL, the OOM killer) is noticed within about a second; its replacement
-reads a fresh queue, and a gradient worker's starts from the module buffers
-last pushed or pulled.  Exhausting the restart budget raises
-:class:`WorkerError` as before (the trainer then degrades to the inline
-path).  Fault-injection sites ``producer.step`` and ``worker.reduce``
+Pipes and self-healing
+----------------------
+The parent sends a child a message only when the child has answered its
+last one, so the child is blocked in ``recv`` whenever the parent writes to
+it and no pipe can deadlock.  One wait —
+:func:`multiprocessing.connection.wait` over the children's pipe ends and
+process sentinels, bounded by the pool ``timeout`` — takes every reply and
+sees a death at once, a child SIGKILLed half-way through writing a reply
+(the OOM killer, ``process.kill()``) included.
+
+Both pools accept a :class:`RestartPolicy` and recover the same way: a
+child that dies or raises is respawned under the same index with a fresh
+pipe (bounded restarts, exponential backoff with deterministic jitter) and
+sent its one unanswered message again.  A producer re-runs its step, whose
+streams are step-keyed, so the replay is bit-identical; a gradient worker
+starts from the module buffers last pushed or pulled and recomputes its
+shard's loss, a pure function of the shard and the broadcast parameters —
+the reduced gradient matches the no-crash run bit for bit.  A child silent
+for ``timeout`` counts as failed: it is killed and recovered the same way.
+A failure beyond the restart budget raises :class:`WorkerError` and breaks
+the pool (the trainer then degrades a pipelined fit to the inline path).
+Fault-injection sites ``producer.step`` and ``worker.reduce``
 (:mod:`repro.utils.faults`) sit inside the child step handlers so chaos
 tests can kill children at exact step indices.
 """
@@ -76,6 +85,7 @@ import random
 import time
 import traceback
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
@@ -87,12 +97,13 @@ from repro.utils.faults import fault_point
 #: fork would duplicate the parent's whole heap including the render cache
 DEFAULT_START_METHOD = "spawn"
 
-#: seconds to wait for a worker reply before declaring it dead
+#: seconds to wait for a child's reply before the pool gives up on it
 DEFAULT_TIMEOUT = 120.0
 
 
 class WorkerError(RuntimeError):
-    """A gradient worker raised; carries the remote traceback."""
+    """A pool child raised, died or fell silent; carries the remote traceback
+    when it raised."""
 
 
 class RestartPolicy:
@@ -145,8 +156,8 @@ def derive_step_seed(seed: int, epoch: int, step: int) -> np.random.SeedSequence
 
     Keyed by *schedule position*, never by which producer runs the batch or
     when it finishes — so the pipelined loss curve is invariant to the
-    producer count, the prefetch depth and mid-training producer resizes,
-    and a resume at ``(epoch, step)`` replays the identical streams.
+    producer count and the prefetch depth, and a resume at ``(epoch, step)``
+    replays the identical streams.
     """
     return np.random.SeedSequence([int(seed), int(epoch), int(step)])
 
@@ -188,7 +199,7 @@ class _SharedBlock:
 class _SlotWriter:
     """Bounded writer over one ring slot, used by :func:`_encode_batch`.
     Arrays that do not fit the remaining slot space get ``None`` back (→ they
-    travel pickled through the message queue instead)."""
+    travel pickled through the child's pipe instead)."""
 
     def __init__(self, buf, start: int, limit: int):
         self._buf = buf
@@ -227,7 +238,7 @@ class RingArena:
 
     A batch larger than ``slot_nbytes`` does not deadlock the ring: the
     writer rejects the overflowing arrays and they travel pickled through the
-    message queue instead (correct, just slower — counted per stream).
+    child's pipe instead (correct, just slower — counted per stream).
     """
 
     #: slot sizes are rounded up to this multiple so every slot start is
@@ -395,20 +406,248 @@ def _estimate_nbytes(batch) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# worker process
+# one pipe per child: the supervisor both pools share
 # --------------------------------------------------------------------------- #
-def _replace_queue(context, stale):
-    """A fresh queue for the replacement of a dead child.
+def _serve(connection, handle) -> None:
+    """A child's message loop: report ready, then answer every message.
 
-    A child killed while blocked in ``stale.get()`` never releases its reader
-    lock, so nothing can read ``stale`` again; its unread messages are
-    dropped.
+    Each message gets exactly one reply, ``("ok", handle(message))``.  The
+    parent closing its end of the pipe is the stop signal.
     """
-    stale.cancel_join_thread()
-    stale.close()
-    return context.Queue()
+    connection.send(("ready", None))
+    while True:
+        try:
+            message = connection.recv()
+        except EOFError:
+            return
+        connection.send(("ok", handle(message)))
 
 
+def _report_error(connection) -> None:
+    """Send the active exception's traceback, if the parent still listens."""
+    with contextlib.suppress(OSError):
+        connection.send(("error", traceback.format_exc()))
+
+
+class _ChildPool:
+    """The children of one pool, each with a private duplex pipe.
+
+    Child ``index`` runs ``target(connection, *self._child_args(index))``.
+    The supervisor spawns it, sends to it, respawns it under the same index
+    with a fresh pipe, and stops it by closing the pipe.  ``_unanswered``
+    holds each child's one outstanding message: a child gets a message only
+    after answering its last, so it is always blocked in ``recv`` when the
+    parent writes to it.
+    """
+
+    def __init__(self, target, role: str, factory, *, start_method, timeout, restart_policy):
+        try:
+            pickle.dumps(factory)
+        except Exception as error:
+            raise ValueError(
+                f"the {role} factory must be picklable for spawn-based children: {error}"
+            ) from error
+        self._target = target
+        self._role = role
+        self._factory = factory
+        self._context = get_context(start_method)
+        self.timeout = float(timeout)
+        self._restart_policy = restart_policy
+        self._restarts_used = 0
+        #: children respawned over the pool's lifetime (observability)
+        self.restart_count = 0
+        #: unanswered messages sent again to a respawned child
+        self.resent_messages = 0
+        self._processes: dict[int, object] = {}
+        self._connections: dict[int, object] = {}
+        self._unanswered: dict[int, object] = {}
+        self._ring: RingArena | None = None
+        self._closed = False
+        self._broken = False
+
+    def _child_args(self, index: int) -> tuple:
+        raise NotImplementedError
+
+    @property
+    def usable(self) -> bool:
+        """True while the pool can still run (not closed, not broken)."""
+        return not self._closed and not self._broken
+
+    def _check_usable(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"{self._role} pool is closed")
+        if self._broken:
+            raise RuntimeError(
+                f"{self._role} pool is broken after a prior {self._role} error; "
+                "close it and create a new pool"
+            )
+
+    # ------------------------------------------------------------ children
+    def _launch(self, count: int) -> None:
+        """Spawn children ``0 .. count - 1`` and wait until each is ready."""
+        # an abandoned pool (estimator dropped without shutdown_workers())
+        # must never leave the interpreter hanging on live children or
+        # shared memory; close() unregisters this again
+        atexit.register(self.close)
+        for index in range(count):
+            self._spawn(index)
+        try:
+            for index in range(count):
+                _, kind, payload = self._wait([index])
+                if kind != "ready":
+                    raise WorkerError(self._failure(index, kind, payload))
+        except WorkerError:
+            self.close()
+            raise
+
+    def _spawn(self, index: int) -> None:
+        parent_end, child_end = self._context.Pipe()
+        process = self._context.Process(
+            target=self._target,
+            args=(child_end, *self._child_args(index)),
+            # the name lets an operator or a test find a child through
+            # multiprocessing.active_children()
+            name=f"{self._role} {index}",
+            daemon=True,
+        )
+        process.start()
+        # the child now holds the pipe's only other end: its death ends the pipe
+        child_end.close()
+        self._processes[index] = process
+        self._connections[index] = parent_end
+
+    def _reap(self, indices) -> None:
+        """Close the children's pipes (their stop signal) and join them."""
+        indices = list(indices)
+        for index in indices:
+            self._connections.pop(index).close()
+        for index in indices:
+            process = self._processes.pop(index)
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - hung child
+                process.terminate()
+                process.join(timeout=5.0)
+
+    def _send(self, index: int, message) -> None:
+        """Give child ``index`` a message; it has answered its last one.
+
+        Writing to a dead child fails silently: the next wait sees the death.
+        """
+        assert index not in self._unanswered, f"{self._role} {index} is still busy"
+        self._unanswered[index] = message
+        with contextlib.suppress(OSError):
+            self._connections[index].send(message)
+
+    def _wait(self, indices) -> tuple[int, str, object]:
+        """The next message of one of children ``indices``: ``(index, kind, payload)``.
+
+        One wait over their pipe ends and process sentinels, bounded by
+        ``timeout``.  A reply is read whole; a dead child — one killed
+        part-way through writing a reply too — reads as ``kind == "died"``,
+        and when all of them stay silent for ``timeout`` the lowest index
+        reads as ``kind == "silent"``.
+        """
+        handles = {}
+        for index in indices:
+            handles[self._connections[index]] = index
+            handles[self._processes[index].sentinel] = index
+        ready = wait(list(handles), timeout=self.timeout)
+        if not ready:
+            return min(handles.values()), "silent", None
+        index = handles[ready[0]]
+        connection = self._connections[index]
+        try:
+            if connection.poll():  # a reply written just before dying still counts
+                kind, payload = connection.recv()
+                return index, kind, payload
+        except (EOFError, OSError):
+            pass
+        return index, "died", None
+
+    def _failure(self, index: int, kind: str, payload) -> str:
+        if kind == "error":
+            return f"{self._role} {index} failed:\n{payload}"
+        if kind == "silent":
+            return f"{self._role} {index} fell silent for {self.timeout:g} s"
+        return f"{self._role} {index} died without a reply"
+
+    def _recover(self, index: int, kind: str, payload) -> None:
+        """Respawn failed child ``index`` and resend its unanswered message.
+
+        Beyond the restart budget the pool breaks with :class:`WorkerError`.
+        """
+        policy = self._restart_policy
+        while policy is not None and self._restarts_used < policy.max_restarts:
+            policy.pause(self._restarts_used)
+            self._restarts_used += 1
+            if kind == "silent":  # a hung child never reads its closed pipe
+                self._processes[index].kill()
+            self._reap([index])
+            self._spawn(index)
+            self.restart_count += 1
+            _, kind, payload = self._wait([index])
+            if kind == "ready":
+                self._send(index, self._unanswered.pop(index))
+                self.resent_messages += 1
+                return
+        self._broken = True
+        raise WorkerError(self._failure(index, kind, payload))
+
+    def _reply(self, indices) -> tuple[int, object]:
+        """The next answer of one of children ``indices``: ``(index, payload)``.
+
+        A child that died, raised or fell silent is recovered first
+        (:meth:`_recover`).
+        """
+        while True:
+            index, kind, payload = self._wait(indices)
+            if kind == "ok":
+                del self._unanswered[index]
+                return index, payload
+            self._recover(index, kind, payload)
+
+    def _collect(self, indices) -> dict[int, object]:
+        """One answer of each of children ``indices``."""
+        waiting, replies = set(indices), {}
+        while waiting:
+            index, payload = self._reply(waiting)
+            waiting.discard(index)
+            replies[index] = payload
+        return replies
+
+    # -------------------------------------------------------------- close
+    def close(self) -> None:
+        """Stop the children and release the ring.
+
+        Idempotent: a second call (or a call racing interpreter shutdown) is
+        a silent no-op.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        atexit.unregister(self.close)
+        self._reap(list(self._processes))
+        self._unanswered.clear()
+        if self._ring is not None:
+            self._ring.close(unlink=True)
+            self._ring = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self):  # pragma: no cover - interpreter teardown
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+# --------------------------------------------------------------------------- #
+# gradient workers
+# --------------------------------------------------------------------------- #
 def _module_buffer_state(named_modules: dict) -> dict[str, np.ndarray]:
     """Non-parameter state (e.g. BN running stats) of every named module."""
     state: dict[str, np.ndarray] = {}
@@ -448,16 +687,15 @@ def _apply_module_buffers(module, updates: dict[str, np.ndarray], prefix: str = 
 
 
 def _worker_main(
+    connection,
     worker_index: int,
     factory,
     compute_dtype: str,
     signature,
     param_block_spec,
     grad_block_spec,
-    command_queue,
-    result_queue,
-    step_arena: bool = True,
-    buffer_state: dict[str, np.ndarray] | None = None,
+    step_arena: bool,
+    buffer_state: dict[str, np.ndarray] | None,
 ) -> None:
     """Entry point of one gradient worker process.
 
@@ -490,43 +728,40 @@ def _worker_main(
         param_block = _SharedBlock(param_block_spec[1], create=False, name=param_block_spec[0])
         grad_block = _SharedBlock(grad_block_spec[1], create=False, name=grad_block_spec[0])
         seen_version = -1
-        result_queue.put((worker_index, "ready", None))
-        while True:
-            message = command_queue.get()
+
+        def handle(message):
+            nonlocal ring, seen_version
             kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "step":
-                _, version, encoded, ring_spec = message
-                ring = _attach_ring(ring, ring_spec)
-                if version != seen_version:  # params only move on optimizer steps
-                    layout.unpack_data(param_block.arrays)
-                    seen_version = version
-                batch = _decode_batch(encoded, ring._shm.buf)
-                for param in layout.parameters:
-                    param.grad = None
-                losses = replica.batch_loss(batch)
-                if isinstance(losses, Tensor):
-                    losses = {"loss": losses}
-                losses["loss"].backward()
-                fault_point("worker.reduce")
-                layout.pack_grads(grad_block.arrays)
-                logs = {
-                    key: float(value.item()) if isinstance(value, Tensor) else float(value)
-                    for key, value in losses.items()
-                }
-                if buffer_pool is not None:
-                    buffer_pool.advance()
-                result_queue.put((worker_index, "ok", logs))
-            elif kind == "buffers":
-                result_queue.put(
-                    (worker_index, "buffers", _module_buffer_state(replica.named_modules()))
-                )
-            elif kind == "push_buffers":
+            if kind == "buffers":
+                return _module_buffer_state(replica.named_modules())
+            if kind == "push_buffers":
                 _apply_named_buffers(replica.named_modules(), message[1])
-                result_queue.put((worker_index, "pushed", None))
+                return None
+            _, version, encoded, ring_spec = message
+            ring = _attach_ring(ring, ring_spec)
+            if version != seen_version:  # params only move on optimizer steps
+                layout.unpack_data(param_block.arrays)
+                seen_version = version
+            batch = _decode_batch(encoded, ring._shm.buf)
+            for param in layout.parameters:
+                param.grad = None
+            losses = replica.batch_loss(batch)
+            if isinstance(losses, Tensor):
+                losses = {"loss": losses}
+            losses["loss"].backward()
+            fault_point("worker.reduce")
+            layout.pack_grads(grad_block.arrays)
+            logs = {
+                key: float(value.item()) if isinstance(value, Tensor) else float(value)
+                for key, value in losses.items()
+            }
+            if buffer_pool is not None:
+                buffer_pool.advance()
+            return logs
+
+        _serve(connection, handle)
     except Exception:  # pragma: no cover - exercised via WorkerError tests
-        result_queue.put((worker_index, "error", traceback.format_exc()))
+        _report_error(connection)
     finally:
         if ring is not None:
             ring.close(unlink=False)
@@ -536,10 +771,7 @@ def _worker_main(
             grad_block.close(unlink=False)
 
 
-# --------------------------------------------------------------------------- #
-# parent-side pool
-# --------------------------------------------------------------------------- #
-class GradientWorkerPool:
+class GradientWorkerPool(_ChildPool):
     """Persistent pool of sharded gradient workers (parent side).
 
     Parameters
@@ -560,11 +792,11 @@ class GradientWorkerPool:
         ``DtypePolicy.compute_dtype``), so shards compute in the same
         precision as the sequential path.
     restart_policy:
-        Optional :class:`RestartPolicy`.  When set, a worker that dies (or
-        errors) mid-step is respawned under the same shard index and its
-        step message is re-sent, so the replacement recomputes the
-        identical gradient.  ``None`` keeps the historical fail-fast
-        behaviour.
+        Optional :class:`RestartPolicy`.  When set, a worker that dies,
+        errors or falls silent for ``timeout`` is respawned under the same
+        shard index and sent its unanswered message again, so the
+        replacement recomputes the identical gradient.  ``None`` keeps the
+        historical fail-fast behaviour: any failure breaks the pool.
     step_arena:
         Give every worker replica a private
         :class:`~repro.nn.arena.StepArena` so its forward/backward passes
@@ -586,191 +818,42 @@ class GradientWorkerPool:
     ):
         if n_workers < 2:
             raise ValueError(f"GradientWorkerPool needs n_workers >= 2, got {n_workers}")
-        try:
-            pickle.dumps(factory)
-        except Exception as error:
-            raise ValueError(
-                f"worker_factory must be picklable for spawn-based workers: {error}"
-            ) from error
+        super().__init__(
+            _worker_main,
+            "gradient worker",
+            factory,
+            start_method=start_method,
+            timeout=timeout,
+            restart_policy=restart_policy,
+        )
         self.n_workers = int(n_workers)
-        self.timeout = float(timeout)
+        self._compute_dtype = str(compute_dtype)
+        self._step_arena = bool(step_arena)
         self._layout = FlatLayout(parameters)
-        nbytes = self._layout.nbytes()
-        self._param_block = _SharedBlock(nbytes, create=True)
-        self._grad_blocks = [_SharedBlock(nbytes, create=True) for _ in range(self.n_workers)]
-        #: one slot per worker, sized at each step to the largest shard
-        self._ring: RingArena | None = None
+        self._nbytes = self._layout.nbytes()
+        self._param_block = _SharedBlock(self._nbytes, create=True)
+        self._grad_blocks = [
+            _SharedBlock(self._nbytes, create=True) for _ in range(self.n_workers)
+        ]
         self._param_version = 0
-        self._closed = False
-        self._broken = False
-        self._restart_policy = restart_policy
-        self._restarts_used = 0
-        #: workers respawned over the pool's lifetime (observability)
-        self.restart_count = 0
         #: module buffers last pushed to or pulled from the workers; a
         #: respawned worker starts from them
         self._buffer_state: dict[str, np.ndarray] | None = None
+        self._launch(self.n_workers)
 
-        context = get_context(start_method)
-        self._context = context
-        self._factory = factory
-        self._compute_dtype = str(compute_dtype)
-        self._step_arena = bool(step_arena)
-        self._nbytes = nbytes
-        self._command_queues = [context.Queue() for _ in range(self.n_workers)]
-        self._result_queue = context.Queue()
-        signature = self._layout.signature()
-        self._signature = signature
-        self._processes = []
-        for index in range(self.n_workers):
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    index,
-                    factory,
-                    compute_dtype,
-                    signature,
-                    (self._param_block.name, nbytes),
-                    (self._grad_blocks[index].name, nbytes),
-                    self._command_queues[index],
-                    self._result_queue,
-                    self._step_arena,
-                ),
-                daemon=True,
-            )
-            process.start()
-            self._processes.append(process)
-        self._collect({index: "ready" for index in range(self.n_workers)})
-        # an abandoned pool (estimator dropped without shutdown_workers())
-        # must never leave the interpreter hanging on live worker processes
-        # or queue feeder threads; close() unregisters this again
-        atexit.register(self.close)
-
-    # ----------------------------------------------------------------- plumbing
-    @property
-    def usable(self) -> bool:
-        """True while the pool can still run steps (not closed, not broken)."""
-        return not self._closed and not self._broken
-
-    def _may_restart(self, count: int = 1) -> bool:
-        policy = self._restart_policy
-        return policy is not None and self._restarts_used + count <= policy.max_restarts
-
-    def _respawn_worker(self, index: int) -> None:
-        """Reap a dead worker and bring up a replacement under the same shard.
-
-        The replacement attaches to the same shared param/grad blocks, starts
-        from the last pushed or pulled module buffers and reads a fresh
-        command queue: a worker killed while blocked in ``get()`` never
-        releases the old queue's reader lock, and the old queue's unread
-        messages must not run twice.  Its first step message re-broadcasts
-        parameters (``seen_version`` starts at -1), so no extra sync is
-        needed.
-        """
-        process = self._processes[index]
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - hung worker
-            process.terminate()
-            process.join(timeout=5.0)
-        self._command_queues[index] = _replace_queue(self._context, self._command_queues[index])
-        replacement = self._context.Process(
-            target=_worker_main,
-            args=(
-                index,
-                self._factory,
-                self._compute_dtype,
-                self._signature,
-                (self._param_block.name, self._nbytes),
-                (self._grad_blocks[index].name, self._nbytes),
-                self._command_queues[index],
-                self._result_queue,
-                self._step_arena,
-                self._buffer_state,
-            ),
-            daemon=True,
+    def _child_args(self, index: int) -> tuple:
+        # a respawned worker re-broadcasts parameters on its first step
+        # message (its ``seen_version`` starts at -1), so no extra sync
+        return (
+            index,
+            self._factory,
+            self._compute_dtype,
+            self._layout.signature(),
+            (self._param_block.name, self._nbytes),
+            (self._grad_blocks[index].name, self._nbytes),
+            self._step_arena,
+            self._buffer_state,
         )
-        replacement.start()
-        self._processes[index] = replacement
-        self.restart_count += 1
-
-    def _collect(
-        self, expected: dict[int, str], *, resend: dict[int, tuple] | None = None
-    ) -> dict[int, object]:
-        """Gather one reply per expected worker, surfacing remote errors.
-
-        Without ``resend`` (or without a restart policy) any failure marks
-        the pool *broken*: replies from workers that were still in flight
-        stay in the result queue, so a later ``step`` could otherwise pair a
-        stale gradient with a new batch.
-
-        With ``resend`` (the step path) a dead or errored worker is
-        respawned — backoff, same shard index — and its original step
-        message from ``resend`` is re-sent once the replacement reports
-        ready; collection then continues until every shard replied.
-
-        The wait runs in one-second slices with a liveness check in each, so
-        a worker killed from outside is noticed within about a second; the
-        ``timeout`` bounds the wait on live workers and restarts after every
-        reply and every respawn.
-        """
-        import queue as queue_module
-
-        remaining = dict(expected)
-        replies: dict[int, object] = {}
-        deadline = time.monotonic() + self.timeout
-        while remaining:
-            try:
-                message = self._result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                message = None
-                dead = [i for i in remaining if not self._processes[i].is_alive()]
-                if not dead and time.monotonic() < deadline:
-                    continue
-                with contextlib.suppress(queue_module.Empty):
-                    # a reply sent just before its worker died still counts
-                    message = self._result_queue.get_nowait()
-            if message is None:
-                if not dead:
-                    self._broken = True
-                    raise WorkerError("timed out waiting for gradient workers (dead: none)")
-                if resend is None or not self._may_restart(len(dead)):
-                    self._broken = True
-                    raise WorkerError(f"gradient worker(s) {dead} died without a reply")
-                failed = dead
-            else:
-                deadline = time.monotonic() + self.timeout
-                worker_index, kind, payload = message
-                if kind == "error":
-                    if (
-                        resend is None
-                        or worker_index not in resend
-                        or not self._may_restart()
-                    ):
-                        self._broken = True
-                        raise WorkerError(f"gradient worker {worker_index} failed:\n{payload}")
-                    failed = [worker_index]
-                elif kind != remaining.get(worker_index):
-                    self._broken = True
-                    raise WorkerError(
-                        f"protocol error: worker {worker_index} sent {kind!r}, "
-                        f"expected {remaining.get(worker_index)!r}"
-                    )
-                elif kind == "ready" and resend is not None and worker_index in resend:
-                    # replacement is up: replay its shard, then await the "ok"
-                    self._command_queues[worker_index].put(resend[worker_index])
-                    remaining[worker_index] = "ok"
-                    continue
-                else:
-                    replies[worker_index] = payload
-                    del remaining[worker_index]
-                    continue
-            for worker_index in failed:
-                self._restarts_used += 1
-                self._restart_policy.pause(self._restarts_used - 1)
-                self._respawn_worker(worker_index)
-                remaining[worker_index] = "ready"
-            deadline = time.monotonic() + self.timeout
-        return replies
 
     # --------------------------------------------------------------------- step
     def step(self, shards, *, accumulate: bool = False) -> dict[str, float]:
@@ -782,13 +865,7 @@ class GradientWorkerPool:
         ``.grad`` — reduced in fixed worker order — ready for callbacks and
         ``optimizer.step()`` exactly like a sequential backward.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if self._broken:
-            raise RuntimeError(
-                "worker pool is broken after a prior worker error; "
-                "close it and create a new pool"
-            )
+        self._check_usable()
         shards = [(batch, float(weight)) for batch, weight in shards if weight > 0]
         if not shards:
             raise ValueError("step() requires at least one non-empty shard")
@@ -802,16 +879,10 @@ class GradientWorkerPool:
         ring = self._ring = _fit_ring(
             self._ring, self.n_workers, max(_estimate_nbytes(batch) for batch, _ in shards)
         )
-        messages: dict[int, tuple] = {}
         for worker_index, (batch, _) in enumerate(shards):
             encoded = _encode_batch(batch, ring.writer(worker_index))
-            message = ("step", self._param_version, encoded, ring.spec)
-            messages[worker_index] = message
-            self._command_queues[worker_index].put(message)
-        replies = self._collect(
-            {index: "ok" for index in range(len(shards))},
-            resend=messages if self._restart_policy is not None else None,
-        )
+            self._send(worker_index, ("step", self._param_version, encoded, ring.spec))
+        replies = self._collect(range(len(shards)))
 
         total_weight = sum(weight for _, weight in shards)
         weights = [weight / total_weight for _, weight in shards]
@@ -834,12 +905,12 @@ class GradientWorkerPool:
         checkpoint (or runs on reloaded weights) starts every replica's BN
         running statistics from the parent's instead of from initialisation.
         """
-        if self._closed or self._broken:
+        if not self.usable:
             return
         state = self._buffer_state = _module_buffer_state(named_modules)
-        for queue in self._command_queues:
-            queue.put(("push_buffers", state))
-        self._collect({index: "pushed" for index in range(self.n_workers)})
+        for index in range(self.n_workers):
+            self._send(index, ("push_buffers", state))
+        self._collect(range(self.n_workers))
 
     def sync_module_buffers(self, named_modules: dict) -> None:
         """Pull non-parameter module state (BN running stats) from worker 0.
@@ -850,10 +921,10 @@ class GradientWorkerPool:
         worker count — and merged into the parent modules before epoch-end
         callbacks (checkpoints, serving) observe them.
         """
-        if self._closed or self._broken:
+        if not self.usable:
             return
-        self._command_queues[0].put(("buffers",))
-        self._buffer_state = self._collect({0: "buffers"})[0]
+        self._send(0, ("buffers",))
+        self._buffer_state = self._collect([0])[0]
         _apply_named_buffers(named_modules, self._buffer_state)
 
     # -------------------------------------------------------------------- close
@@ -865,87 +936,53 @@ class GradientWorkerPool:
         """
         if self._closed:
             return
-        self._closed = True
-        atexit.unregister(self.close)
-        for queue in self._command_queues:
-            try:
-                queue.put(("stop",))
-            except (ValueError, OSError):  # pragma: no cover - teardown race
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5.0)
-        for queue in self._command_queues:
-            queue.close()
-        self._result_queue.close()
+        super().close()
         self._param_block.close(unlink=True)
         for block in self._grad_blocks:
             block.close(unlink=True)
-        if self._ring is not None:
-            self._ring.close(unlink=True)
-            self._ring = None
-
-    def __enter__(self) -> "GradientWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 # --------------------------------------------------------------------------- #
 # pipelined batch producers
 # --------------------------------------------------------------------------- #
-def _producer_main(producer_index, factory, compute_dtype, work_queue, result_queue) -> None:
+def _producer_main(connection, producer_index: int, factory, compute_dtype: str) -> None:
     """Entry point of one batch-producer process.
 
-    Producers are homogeneous pullers on one shared work queue: any producer
-    may run any step, because every stochastic stream a step consumes is
-    derived from the step key (:func:`derive_step_seed`) inside ``produce``
-    itself — producer identity never reaches the curve.
+    Any producer may run any step, because every stochastic stream a step
+    consumes is derived from the step key (:func:`derive_step_seed`) inside
+    ``produce`` itself — producer identity never reaches the curve.
     """
-    import time as time_module
-
     from repro.nn.tensor import set_default_dtype
 
     ring = None
     try:
         set_default_dtype(np.dtype(compute_dtype))
         producer = factory(producer_index)
-        result_queue.put((producer_index, "ready", None))
-        while True:
-            message = work_queue.get()
-            if message[0] == "stop":
-                break
-            _, generation, epoch, step, slot, ring_spec, payload = message
+
+        def handle(message):
+            nonlocal ring
+            epoch, step, slot, ring_spec, payload = message
             fault_point("producer.step")
-            start = time_module.perf_counter()
+            start = time.perf_counter()
             produced = producer.produce(epoch, step, payload)
             ring = _attach_ring(ring, ring_spec)
             encoded = _encode_batch(produced, ring.writer(slot))
-            seconds = time_module.perf_counter() - start
-            result_queue.put(
-                (
-                    producer_index,
-                    "ok",
-                    (generation, step, encoded, seconds, _count_pickled(encoded)),
-                )
-            )
+            seconds = time.perf_counter() - start
+            return step, encoded, seconds, _count_pickled(encoded)
+
+        _serve(connection, handle)
     except Exception:  # pragma: no cover - exercised via WorkerError tests
-        result_queue.put((producer_index, "error", traceback.format_exc()))
+        _report_error(connection)
     finally:
         if ring is not None:
             ring.close(unlink=False)
 
 
-class ProducerPool:
+#: end-of-payloads marker of :meth:`ProducerPool.stream`
+_END = object()
+
+
+class ProducerPool(_ChildPool):
     """Persistent pool of pipelined batch producers (parent side).
 
     Parameters
@@ -955,24 +992,25 @@ class ProducerPool:
         with ``produce(epoch, step, payload)`` (see
         ``TrainLoop.producer_factory``).  It takes no pool-size argument:
         per-step streams are keyed by :func:`derive_step_seed`, so replicas
-        must not (and cannot) condition on the producer count — that is what
-        makes :meth:`resize` curve-safe.
+        must not (and cannot) condition on the producer count.
     n_producers:
         Producer process count (>= 1; ``0`` never reaches this class — the
         trainer then produces inline on the parent).
     prefetch_depth:
-        Ring slots, i.e. the maximum number of in-flight produced batches
-        (>= 2, double-buffered minimum).
+        Ring slots, i.e. the maximum number of produced batches held at once
+        (>= 2, double-buffered minimum).  A producer works on one step at a
+        time, so the look-ahead is at most one step per producer: at most
+        ``min(n_producers, prefetch_depth - 1)`` steps are produced while the
+        consumer trains, and a depth above ``n_producers + 1`` adds nothing.
     compute_dtype:
         Tensor default dtype installed in every producer, matching the
         consumer's precision policy.
     restart_policy:
-        Optional :class:`RestartPolicy`.  When set, a producer crash during
-        :meth:`stream` triggers stop-the-world recovery: the remaining
-        producers are cycled, the generation counter fences off stale
-        results, and every in-flight step without a consumed result is
-        resubmitted — step-keyed streams make the replayed batches
-        bit-identical.  ``None`` keeps the historical fail-fast behaviour.
+        Optional :class:`RestartPolicy`.  When set, a producer that dies,
+        raises or falls silent for ``timeout`` during :meth:`stream` is
+        respawned and sent its unanswered step again — step-keyed streams
+        make the replayed batch bit-identical.  ``None`` keeps the
+        historical fail-fast behaviour.
     """
 
     def __init__(
@@ -992,200 +1030,49 @@ class ProducerPool:
             raise ValueError(
                 f"prefetch_depth must be >= 2 (double-buffered), got {prefetch_depth}"
             )
-        try:
-            pickle.dumps(factory)
-        except Exception as error:
-            raise ValueError(
-                f"producer_factory must be picklable for spawn-based producers: {error}"
-            ) from error
-        self._factory = factory
+        super().__init__(
+            _producer_main,
+            "batch producer",
+            factory,
+            start_method=start_method,
+            timeout=timeout,
+            restart_policy=restart_policy,
+        )
+        self.n_producers = int(n_producers)
         self.prefetch_depth = int(prefetch_depth)
-        self.timeout = float(timeout)
         self._compute_dtype = str(compute_dtype)
-        self._context = get_context(start_method)
-        self._work_queue = self._context.Queue()
-        self._result_queue = self._context.Queue()
-        self._ring: RingArena | None = None
-        self._closed = False
-        self._broken = False
-        self._processes: dict[int, object] = {}
-        self._next_index = 0
-        self._restart_policy = restart_policy
-        self._restarts_used = 0
-        self._target_producers = int(n_producers)
-        #: fence for results: bumped on every recovery, pre-crash results are
-        #: discarded by generation mismatch
-        self._generation = 0
-        #: recoveries and replayed steps over the pool's lifetime
-        self.restart_count = 0
-        self.replayed_steps = 0
         #: per-stream pipeline counters of the most recent epoch (see stream())
         self.last_stream_stats: dict[str, float] | None = None
-        self._spawn(int(n_producers))
-        atexit.register(self.close)
+        self._launch(self.n_producers)
 
-    @property
-    def n_producers(self) -> int:
-        return len(self._processes)
-
-    @property
-    def usable(self) -> bool:
-        """True while the pool can still stream (not closed, not broken)."""
-        return not self._closed and not self._broken
-
-    def _may_restart(self) -> bool:
-        policy = self._restart_policy
-        return policy is not None and self._restarts_used < policy.max_restarts
-
-    # ----------------------------------------------------------------- spawn
-    def _spawn(self, count: int) -> None:
-        fresh = []
-        for _ in range(count):
-            index = self._next_index
-            self._next_index += 1
-            process = self._context.Process(
-                target=_producer_main,
-                args=(
-                    index,
-                    self._factory,
-                    self._compute_dtype,
-                    self._work_queue,
-                    self._result_queue,
-                ),
-                daemon=True,
-            )
-            process.start()
-            self._processes[index] = process
-            fresh.append(index)
-        pending = set(fresh)
-        while pending:
-            index, kind, payload = self._wait_result()
-            if kind == "ok":
-                # a pre-recovery result that survived the drain; the
-                # generation fence would discard it anyway
-                continue
-            if kind != "ready" or index not in pending:
-                self._broken = True
-                raise WorkerError(
-                    f"protocol error: producer {index} sent {kind!r} during startup"
-                )
-            pending.discard(index)
-
-    def _recover_producers(self) -> None:
-        """Stop-the-world producer recovery after a crash.
-
-        Producers are identity-free pullers on one shared work queue, so the
-        cheapest correct recovery is to cycle the whole set: drain the work
-        queue (so live producers reach their stop), stop/reap every process,
-        replace the work queue (no pre-crash message may reach a fresh
-        producer), discard queued results, bump the generation fence and
-        respawn to the target count.  The caller then resubmits the
-        in-flight steps it still needs.
-        """
-        import queue as queue_module
-
-        while True:
-            try:
-                self._work_queue.get_nowait()
-            except (queue_module.Empty, OSError):
-                break
-        for process in self._processes.values():
-            if process.is_alive():
-                try:
-                    self._work_queue.put(("stop",))
-                except (ValueError, OSError):  # pragma: no cover - teardown race
-                    pass
-        for process in self._processes.values():
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        self._processes.clear()
-        # a killed producer may hold the work queue's reader lock, and one
-        # reaped mid-step may have left its stop unconsumed
-        self._work_queue = _replace_queue(self._context, self._work_queue)
-        while True:
-            try:
-                self._result_queue.get(timeout=0.05)
-            except (queue_module.Empty, OSError):
-                break
-        self._generation += 1
-        self._broken = False
-        self._spawn(self._target_producers)
-
-    def _wait_result(self):
-        """One result-queue message, with liveness-checked timeout.
-
-        Waits in short slices so a crashed producer surfaces as a
-        :class:`WorkerError` within a couple of seconds instead of
-        deadlocking the ring until the full timeout.
-        """
-        import queue as queue_module
-        import time as time_module
-
-        deadline = time_module.monotonic() + self.timeout
-        while True:
-            try:
-                message = self._result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [i for i, p in self._processes.items() if not p.is_alive()]
-                if dead:
-                    # give a queued error traceback one chance to beat the
-                    # liveness check (the process may have died right after
-                    # reporting)
-                    try:
-                        message = self._result_queue.get_nowait()
-                    except queue_module.Empty:
-                        self._broken = True
-                        raise WorkerError(
-                            f"producer process(es) {dead} died without a reply"
-                        ) from None
-                else:
-                    if time_module.monotonic() > deadline:
-                        self._broken = True
-                        raise WorkerError(
-                            "timed out waiting for batch producers (dead: none)"
-                        ) from None
-                    continue
-            index, kind, payload = message
-            if kind == "error":
-                self._broken = True
-                raise WorkerError(f"batch producer {index} failed:\n{payload}")
-            return index, kind, payload
-
-    def _check_usable(self) -> None:
-        if self._closed:
-            raise RuntimeError("producer pool is closed")
-        if self._broken:
-            raise RuntimeError(
-                "producer pool is broken after a prior producer error; "
-                "close it and create a new pool"
-            )
+    def _child_args(self, index: int) -> tuple:
+        return (index, self._factory, self._compute_dtype)
 
     # ---------------------------------------------------------------- stream
     def stream(self, epoch: int, payloads, *, slot_nbytes: int = 0):
         """Yield produced batches for ``payloads`` in submission (step) order.
 
-        ``payloads`` is a lazy iterable of per-step produce inputs; at most
-        ``prefetch_depth`` are in flight (and thus parent-resident) at once,
-        so an out-of-core epoch never materialises.  Yielded batches are
-        zero-copy views into the ring — each step's slot is released when the
-        generator is resumed for the next step, i.e. after the consumer
-        finished its forward/backward.  ``slot_nbytes`` hints the produced
-        batch size (the ring grows to fit; oversize arrays still fall back to
-        pickling).  On exhaustion (or abandonment) the in-flight tail is
-        drained so the pool stays usable; ``last_stream_stats`` then holds
-        the epoch's produce/stall/occupancy counters.
+        ``payloads`` is a lazy iterable of per-step produce inputs.  Step
+        ``s`` goes to an idle producer once its ring slot is free, i.e. once
+        step ``s - prefetch_depth`` was consumed, so at most
+        ``prefetch_depth`` steps are parent-resident at once and an
+        out-of-core epoch never materialises.  A producer that finished its
+        step waits for the next one until the consumer resumes the stream.
+        Yielded batches are zero-copy views into the ring — each step's slot
+        is released when the generator is resumed for the next step, i.e.
+        after the consumer finished its forward/backward.  ``slot_nbytes``
+        hints the produced batch size (the ring grows to fit; oversize arrays
+        still fall back to pickling).  On exhaustion (or abandonment) the
+        in-flight replies are taken so the pool stays usable;
+        ``last_stream_stats`` then holds the epoch's produce/stall/occupancy
+        counters.
 
-        With a :class:`RestartPolicy`, a producer crash mid-epoch recovers
-        in place: the pool is cycled (:meth:`_recover_producers`) and every
-        in-flight step whose result was not yet received is resubmitted from
-        the retained payloads — the yielded batch sequence is unchanged and,
-        because produce is step-keyed, bit-identical.  Budget exhaustion
-        re-raises :class:`WorkerError` for the caller's degradation ladder.
+        With a :class:`RestartPolicy`, a producer that dies, raises or falls
+        silent is respawned and sent its step again (:meth:`_recover`) — the
+        yielded batch sequence is unchanged and, because produce is
+        step-keyed, bit-identical.  Budget exhaustion raises
+        :class:`WorkerError` for the caller's degradation ladder.
         """
-        import time as time_module
-
         self._check_usable()
         ring = self._ring = _fit_ring(self._ring, self.prefetch_depth, slot_nbytes)
         payload_iter = iter(payloads)
@@ -1194,186 +1081,127 @@ class ProducerPool:
             "produce_seconds": 0.0,
             "stall_seconds": 0.0,
             "oversize_arrays": 0,
-            "restarts": 0,
-            "replayed_steps": 0,
             "n_producers": float(self.n_producers),
             "prefetch_depth": float(self.prefetch_depth),
         }
+        restarts, resent = self.restart_count, self.resent_messages
         submitted = consumed = 0
         exhausted = False
-        pending: dict[int, tuple] = {}
-        # payloads of steps submitted but not yet consumed — the replay
-        # source after a recovery (bounded by prefetch_depth entries)
-        inflight_payloads: dict[int, object] = {}
-        wall_start = time_module.perf_counter()
+        #: replies received ahead of their turn, by step
+        produced: dict[int, tuple] = {}
+        wall_start = time.perf_counter()
 
-        def submit_next():
+        def submit() -> None:
+            """Hand the next steps to idle producers while their slots are free."""
             nonlocal submitted, exhausted
-            try:
-                payload = next(payload_iter)
-            except StopIteration:
-                exhausted = True
-                return
-            slot = ring.acquire(submitted)
-            assert slot is not None  # depth-bounded submission keeps slots free
-            inflight_payloads[submitted] = payload
-            self._work_queue.put(
-                ("produce", self._generation, epoch, submitted, slot, ring.spec, payload)
-            )
-            submitted += 1
-
-        def recover_and_replay():
-            self._restarts_used += 1
-            self._restart_policy.pause(self._restarts_used - 1)
-            self._recover_producers()
-            replayed = 0
-            for step in range(consumed, submitted):
-                if step in pending:
-                    continue  # result arrived before the crash; still valid
-                self._work_queue.put(
-                    (
-                        "produce",
-                        self._generation,
-                        epoch,
-                        step,
-                        ring.slot_of(step),
-                        ring.spec,
-                        inflight_payloads[step],
-                    )
-                )
-                replayed += 1
-            stats["restarts"] += 1
-            stats["replayed_steps"] += replayed
-            self.restart_count += 1
-            self.replayed_steps += replayed
-
-        def wait_step_result():
-            """Fold one same-generation result into ``pending``; self-heal."""
-            while True:
-                try:
-                    _, _, payload = self._wait_result()
-                except WorkerError:
-                    if not self._may_restart():
-                        raise
-                    recover_and_replay()
-                    continue
-                generation, step, encoded, seconds, n_pickled = payload
-                if generation != self._generation:
-                    continue  # stale pre-recovery result
-                pending[step] = (encoded, seconds, n_pickled)
-                return
+            idle = [index for index in self._processes if index not in self._unanswered]
+            while idle and not exhausted and submitted - consumed < self.prefetch_depth:
+                payload = next(payload_iter, _END)
+                if payload is _END:
+                    exhausted = True
+                    return
+                slot = ring.acquire(submitted)
+                assert slot is not None  # depth-bounded submission keeps slots free
+                self._send(idle.pop(0), (epoch, submitted, slot, ring.spec, payload))
+                submitted += 1
 
         try:
-            while not exhausted and submitted - consumed < self.prefetch_depth:
-                submit_next()
+            submit()
             while consumed < submitted:
-                wait_start = time_module.perf_counter()
-                while consumed not in pending:
-                    wait_step_result()
-                stats["stall_seconds"] += time_module.perf_counter() - wait_start
-                encoded, seconds, n_pickled = pending.pop(consumed)
+                wait_start = time.perf_counter()
+                while consumed not in produced:
+                    _, (step, encoded, seconds, n_pickled) = self._reply(list(self._unanswered))
+                    produced[step] = (encoded, seconds, n_pickled)
+                    submit()
+                stats["stall_seconds"] += time.perf_counter() - wait_start
+                encoded, seconds, n_pickled = produced.pop(consumed)
                 stats["produce_seconds"] += seconds
                 stats["oversize_arrays"] += n_pickled
                 stats["steps"] += 1
                 try:
                     yield _decode_batch(encoded, ring._shm.buf, copy=False)
                 finally:
-                    # runs on normal resume AND on mid-yield abandonment, so
-                    # the outer drain never waits for an already-taken reply
+                    # runs on normal resume AND on mid-yield abandonment
                     ring.release(consumed)
-                    inflight_payloads.pop(consumed, None)
                     consumed += 1
-                if not exhausted:
-                    submit_next()
+                submit()
         finally:
-            # consumer done or bailed mid-epoch: drain the in-flight tail so
-            # slots free up and no stale reply can pair with a future stream
-            while consumed < submitted:
-                try:
-                    if consumed not in pending:
-                        _, _, payload = self._wait_result()
-                        generation, step, encoded, seconds, n_pickled = payload
-                        if generation == self._generation:
-                            pending[step] = (encoded, seconds, n_pickled)
-                        continue
-                except WorkerError:
-                    break  # pool already marked broken
-                pending.pop(consumed)
-                ring.release(consumed)
-                inflight_payloads.pop(consumed, None)
-                consumed += 1
-            wall = time_module.perf_counter() - wall_start
+            # consumer done or bailed mid-epoch: take the in-flight replies so
+            # no stale one can pair with a later stream, and free their slots
+            if self.usable:
+                with contextlib.suppress(WorkerError):
+                    self._collect(list(self._unanswered))
+            for step in range(consumed, submitted):
+                ring.release(step)
+            wall = time.perf_counter() - wall_start
+            stats["restarts"] = self.restart_count - restarts
+            stats["replayed_steps"] = self.resent_messages - resent
             stats["wall_seconds"] = wall
             stats["occupancy"] = (
                 stats["produce_seconds"] / (self.n_producers * wall) if wall > 0 else 0.0
             )
             self.last_stream_stats = stats
 
-    # ---------------------------------------------------------------- resize
-    def resize(self, n_producers: int) -> None:
-        """Grow or shrink the producer set between epochs.
 
-        Curve-safe by construction: producers are identity-free pullers on a
-        shared queue, so the schedule and every per-step stream are unchanged
-        — only the produce-side parallelism moves.  Must not be called while
-        a :meth:`stream` is active.
+# --------------------------------------------------------------------------- #
+# the pools an estimator keeps across fits
+# --------------------------------------------------------------------------- #
+class PersistentPools:
+    """Gradient-worker and producer pools kept alive across an estimator's fits.
+
+    Mixed into the pre-training estimators: :meth:`_open_pools` readies the
+    pools before each fit (the trainer borrows them, and a borrowed pool is
+    closed by its owner), and :meth:`shutdown_workers` stops both.
+    """
+
+    #: persistent gradient worker pool (``config.n_workers >= 2``), spawned
+    #: by the first fit and reused by every later one
+    _worker_pool: GradientWorkerPool | None = None
+    #: persistent batch-producer pool (``config.n_producers >= 1``), spawned
+    #: by the first fit and reused by every later one
+    _producer_pool: ProducerPool | None = None
+    #: optional :class:`RestartPolicy` armed on the pools (and the trainer's
+    #: degradation ladder); set it before a fit.  Kept off the config so
+    #: injectable test clocks never travel to spawn children with the
+    #: pickled config.
+    restart_policy: RestartPolicy | None = None
+
+    def _open_pools(self, loop, parameters, config, compute_dtype: str) -> None:
+        """Spawn the pools ``config`` asks for that are not running yet.
+
+        A pool that broke (or was closed) in an earlier fit is replaced, not
+        reused — e.g. after the trainer degraded a pipelined fit to inline.
+        Replicas are pure functions of the config, so reusing a live pool is
+        always safe.
         """
-        self._check_usable()
-        n_producers = int(n_producers)
-        if n_producers < 1:
-            raise ValueError(f"resize needs n_producers >= 1, got {n_producers}")
-        self._target_producers = n_producers
-        current = len(self._processes)
-        if n_producers > current:
-            self._spawn(n_producers - current)
-            return
-        if n_producers == current:
-            return
-        import time as time_module
+        if self._worker_pool is not None and not self._worker_pool.usable:
+            self._worker_pool.close()
+            self._worker_pool = None
+        if self._producer_pool is not None and not self._producer_pool.usable:
+            self._producer_pool.close()
+            self._producer_pool = None
+        if config.n_workers > 1 and self._worker_pool is None:
+            self._worker_pool = GradientWorkerPool(
+                loop.worker_factory(),
+                parameters,
+                n_workers=config.n_workers,
+                compute_dtype=compute_dtype,
+                restart_policy=self.restart_policy,
+                step_arena=config.step_arena,
+            )
+        if config.n_producers >= 1 and self._producer_pool is None:
+            self._producer_pool = ProducerPool(
+                loop.producer_factory(),
+                n_producers=config.n_producers,
+                prefetch_depth=config.prefetch_depth,
+                compute_dtype=compute_dtype,
+                restart_policy=self.restart_policy,
+            )
 
-        for _ in range(current - n_producers):
-            self._work_queue.put(("stop",))
-        deadline = time_module.monotonic() + self.timeout
-        while len(self._processes) > n_producers:
-            for index, process in list(self._processes.items()):
-                process.join(timeout=0.05)
-                if not process.is_alive():
-                    del self._processes[index]
-            if time_module.monotonic() > deadline:  # pragma: no cover - hung producer
-                self._broken = True
-                raise WorkerError("timed out shrinking the producer pool")
-
-    # ----------------------------------------------------------------- close
-    def close(self) -> None:
-        """Stop the producers and release the ring.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        atexit.unregister(self.close)
-        for _ in range(len(self._processes)):
-            try:
-                self._work_queue.put(("stop",))
-            except (ValueError, OSError):  # pragma: no cover - teardown race
-                pass
-        for process in self._processes.values():
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - hung producer
-                process.terminate()
-                process.join(timeout=5.0)
-        self._work_queue.close()
-        self._result_queue.close()
-        if self._ring is not None:
-            self._ring.close(unlink=True)
-            self._ring = None
-
-    def __enter__(self) -> "ProducerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
+    def shutdown_workers(self) -> None:
+        """Stop the persistent worker and producer pools (idempotent no-op
+        when sequential / already stopped)."""
+        for pool in (self._worker_pool, self._producer_pool):
+            if pool is not None:
+                pool.close()
+        self._worker_pool = self._producer_pool = None

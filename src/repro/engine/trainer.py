@@ -89,12 +89,14 @@ class Trainer:
         through a bounded shared-memory ring (see
         :class:`~repro.engine.parallel.ProducerPool`).  Per-batch streams are
         keyed by ``derive_step_seed(seed, epoch, step)``, so the loss curve
-        is bit-identical at any producer count — including a count changed
-        between epochs (``trainer.n_producers = k`` from a callback) or
-        across a resume.  Mutually exclusive with ``n_workers >= 2``.
+        is bit-identical at any producer count, also across a resume.  The
+        count is fixed for the life of the pool.  Mutually exclusive with
+        ``n_workers >= 2``.
     prefetch_depth:
         Ring slots, i.e. the produce-ahead bound (>= 2, double-buffered
-        minimum).
+        minimum).  Each producer works on one step at a time, so the
+        look-ahead is at most one step per producer; a depth above
+        ``n_producers + 1`` adds nothing.
     producer_pool:
         An already-running :class:`~repro.engine.parallel.ProducerPool` to
         borrow instead of spawning one per ``fit`` (estimators keep one alive
@@ -388,13 +390,16 @@ class Trainer:
         """Produced batches of one epoch, in schedule order."""
         from repro.engine.parallel import WorkerError
 
+        if producers is not None and producers.n_producers != self.n_producers:
+            raise ValueError(
+                f"n_producers was changed to {self.n_producers} during a fit with "
+                f"{producers.n_producers} producer(s); the producer count is fixed "
+                "for the life of a producer pool"
+            )
         payloads = self.loop.pipeline_batches(epoch)
         if producers is None or self._degraded:
             yield from self._inline_epoch_batches(epoch, payloads)
             return
-        if producers.n_producers != self.n_producers:
-            # elastic producers: a callback moved the knob between epochs
-            producers.resize(self.n_producers)
         consumed = 0
         failure = None
         try:

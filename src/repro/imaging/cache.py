@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro.data.loaders import _is_corpus
+from repro.data.loaders import is_sharded_corpus
 from repro.imaging.line_chart import LineChartRenderer
 
 
@@ -116,7 +116,7 @@ class RenderCache:
         every lookup.  The fill replaces whatever the table held.  Returns
         :meth:`stats`.
         """
-        corpus = _is_corpus(pool)
+        corpus = is_sharded_corpus(pool)
         if not corpus:
             pool = np.asarray(pool)
         if len(pool.shape) != 3:

@@ -47,10 +47,6 @@ METRIC_MARKERS = (
     "requests_per_sec",
     "latency_ms",
     "peak_rss_mb",
-    "spilled_bytes",
-    "disk_hits",
-    "readback_failures",
-    "spill_retries",
     "producer_occupancy",
     "consumer_stall_seconds",
     "goodput_rps",

@@ -381,14 +381,13 @@ class TestReviewRegressions:
         assert any(
             not np.array_equal(after[key], fresh[key]) for key in fresh
         ), "parent BN running stats never left their initial values"
-        # and they match worker 0's replica exactly
-        pool = pretrainer._worker_pool
-        pool._command_queues[0].put(("buffers",))
-        payload = pool._collect({0: "buffers"})[0]
-        for key, value in payload.items():
-            prefix = "image_encoder."
-            if key.startswith(prefix) and "running" in key:
-                np.testing.assert_array_equal(after[key[len(prefix) :]], value)
+        # and they match worker 0's replica exactly: pull its buffers into a
+        # fresh copy of the modules
+        replica = AimTSPretrainer(AimTSConfig(**TINY))
+        pretrainer._worker_pool.sync_module_buffers({"image_encoder": replica.image_encoder})
+        pulled = replica.image_encoder.state_dict()
+        for key in fresh:
+            np.testing.assert_array_equal(after[key], pulled[key])
         pretrainer.shutdown_workers()
 
     def test_apply_module_buffers_targets_buffers_only(self):

@@ -8,22 +8,35 @@ contract is that recovery is *bit-identical*, not merely "it didn't crash".
 Covered: the fault-plan mechanics themselves, restart-policy determinism,
 producer/worker crash + respawn with replayed steps (AimTS and SimCLR loss
 curves ``==`` the no-fault run), restart-budget exhaustion degrading to the
-inline path with a recorded warning, serving overload shedding (also under
-racing submitters) / deadline expiry / dead-worker replacement / the
-submit-time sample copy, corpus read retries + quarantine, and atomic
-bundle/checkpoint writes surviving an injected crash.
+inline path with a recorded warning, pool children SIGKILLed from outside
+(also while a reply is half written) or silent past the pool timeout,
+serving overload shedding (also under racing submitters) / deadline expiry /
+dead-worker replacement / the submit-time sample copy, corpus read retries +
+quarantine, and atomic bundle/checkpoint writes surviving an injected crash.
 
 The chaos stress workflow (``.github/workflows/chaos.yml``) reruns this file
 with randomized fault seeds via ``REPRO_CHAOS_SEED``.
+
+Run as a script, ``python tests/test_reliability.py`` runs the mid-reply
+producer kill of :func:`_mid_reply_kill_report` and prints its outcome as
+JSON (the test runs it in a child interpreter, so a wedged pool fails it
+instead of stalling the suite).
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import multiprocessing
+import multiprocessing.connection
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +48,7 @@ from repro.core.pretrainer import AimTSPretrainer
 from repro.data.corpus import CorpusReadError, CorpusWriter, ShardedCorpus
 from repro.data.corpus.__main__ import main as corpus_main
 from repro.engine import Callback, Checkpointer
-from repro.engine.parallel import RestartPolicy
+from repro.engine.parallel import ProducerPool, RestartPolicy
 from repro.serving import (
     DeadlineExceededError,
     ModelServer,
@@ -245,11 +258,17 @@ class TestSelfHealingPretrain:
 # pool children killed from outside (SIGKILL, the OOM killer)
 # --------------------------------------------------------------------------- #
 def _kill(process) -> None:
-    """SIGKILL a child: no Python unwinding, so a queue lock it holds (an idle
-    child blocks in ``Queue.get()``) is never released."""
+    """SIGKILL a child: no Python unwinding, so nothing it holds (a lock, a
+    half-written reply) is ever released."""
     process.kill()
     process.join(timeout=10.0)
     assert not process.is_alive()
+
+
+def _child(name: str):
+    """The running pool child named ``name`` (e.g. ``"gradient worker 0"``)."""
+    (process,) = [p for p in multiprocessing.active_children() if p.name == name]
+    return process
 
 
 class _CutPoolTimeouts(Callback):
@@ -264,14 +283,13 @@ class _CutPoolTimeouts(Callback):
 class _KillWorkerZeroAtEpochOne(_CutPoolTimeouts):
     def on_epoch_start(self, trainer, epoch):
         if epoch == 1:
-            _kill(trainer.worker_pool._processes[0])
+            _kill(_child("gradient worker 0"))
 
 
 class _KillProducerAfterEpochZero(_CutPoolTimeouts):
     def on_epoch_end(self, trainer, logs):
         if trainer.state.epoch == 1:
-            (process,) = trainer.producer_pool._processes.values()
-            _kill(process)
+            _kill(_child("batch producer 0"))
 
 
 def _killed_run(kill: Callback | None = None, **knobs) -> dict:
@@ -299,6 +317,104 @@ def _killed_run(kill: Callback | None = None, **knobs) -> dict:
         model.shutdown_workers()
 
 
+class _ScaleProducer:
+    """Payload → payload * 2, tagged with the step key (picklable for spawn)."""
+
+    def produce(self, epoch, step, payload):
+        return payload * 2.0, np.array([float(epoch), float(step)])
+
+
+def _scale_factory(producer_index):
+    return _ScaleProducer()
+
+
+def _mid_reply_kill_report() -> dict:
+    """Kill a producer while its pickled reply is half written, then resume.
+
+    Every step's reply carries a 4 MiB array, far beyond a pipe's buffer, and
+    a 64-B slot hint sends it pickled through the pipe.  While the consumer
+    holds step 0, the producer finishes step 1 and starts writing its reply:
+    the reply's length header becomes readable on the parent's end of the
+    pipe, and the rest cannot fit the pipe while the stream is suspended, so
+    the producer is blocked part-way through the reply.  It is SIGKILLed
+    there.
+    """
+    payloads = [np.full(1 << 19, float(step)) for step in range(3)]
+    pool = ProducerPool(
+        _scale_factory,
+        n_producers=1,
+        prefetch_depth=2,
+        timeout=10.0,
+        restart_policy=RestartPolicy(2, sleep=no_sleep),
+    )
+    try:
+        stream = pool.stream(0, iter(payloads), slot_nbytes=64)
+        # yielded arrays may be views into the ring: copy while suspended
+        batches = [tuple(np.array(part) for part in next(stream))]
+        if not multiprocessing.connection.wait([pool._connections[0]], timeout=30.0):
+            raise RuntimeError("the producer never started writing step 1's reply")
+        (producer,) = multiprocessing.active_children()
+        _kill(producer)
+        batches += [tuple(np.array(part) for part in batch) for batch in stream]
+        expected = [(payload * 2.0, [0.0, float(step)]) for step, payload in enumerate(payloads)]
+        return {
+            "steps": len(batches),
+            "values_equal": len(batches) == len(expected)
+            and all(
+                np.array_equal(doubled, want) and tag.tolist() == tag_want
+                for (doubled, tag), (want, tag_want) in zip(batches, expected)
+            ),
+            "restarts": pool.restart_count,
+        }
+    finally:
+        pool.close()
+
+
+class _HangOnceProducer(_ScaleProducer):
+    """Sleeps through step 1 the first time any producer runs it."""
+
+    def __init__(self, marker: str, producer_index: int):
+        self.marker = Path(marker)
+
+    def produce(self, epoch, step, payload):
+        if step == 1 and not self.marker.exists():
+            self.marker.touch()
+            time.sleep(60.0)
+        return super().produce(epoch, step, payload)
+
+
+def _run_in_child_interpreter(timeout_s: float = 60.0) -> dict:
+    """This file run as a script, in its own process group, under a bound.
+
+    On timeout the whole group gets SIGTERM (the multiprocessing resource
+    tracker ignores it and unlinks the pool's shared memory), then SIGKILL.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, __file__],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        for sig in (signal.SIGTERM, signal.SIGKILL):
+            try:
+                os.killpg(child.pid, sig)
+            except ProcessLookupError:
+                break
+            time.sleep(2.0)
+        child.communicate()
+        pytest.fail(f"the mid-reply kill did not finish within {timeout_s:.0f} s")
+    assert child.returncode == 0, err
+    return json.loads(out.strip().splitlines()[-1])
+
+
 class TestKilledChildren:
     @pytest.fixture(scope="class")
     def worker_runs(self):
@@ -323,6 +439,34 @@ class TestKilledChildren:
         assert killed["restarts"] == 1
         assert killed["degradations"] == []
         assert killed["curve"] == reference["curve"]
+
+    def test_producer_killed_mid_reply_is_replaced(self):
+        report = _run_in_child_interpreter()
+        assert report == {"steps": 3, "values_equal": True, "restarts": 1}
+
+
+class TestSilentChildren:
+    def test_silent_producer_is_killed_and_replaced(self, tmp_path):
+        payloads = [np.full(4, float(step)) for step in range(3)]
+        pool = ProducerPool(
+            functools.partial(_HangOnceProducer, str(tmp_path / "hung")),
+            n_producers=1,
+            prefetch_depth=2,
+            restart_policy=RestartPolicy(2, sleep=no_sleep),
+        )
+        pool.timeout = 3.0  # after the launch, which waits for the spawn
+        try:
+            batches = [
+                tuple(np.array(part) for part in batch) for batch in pool.stream(0, payloads)
+            ]
+            assert pool.restart_count == 1
+            assert pool.usable
+        finally:
+            pool.close()
+        assert len(batches) == len(payloads)
+        for step, (doubled, tag) in enumerate(batches):
+            np.testing.assert_array_equal(doubled, payloads[step] * 2.0)
+            assert tag.tolist() == [0.0, float(step)]
 
 
 # --------------------------------------------------------------------------- #
@@ -668,3 +812,7 @@ class TestAtomicWrites:
             trainer.state.epoch = epoch
             checkpointer.on_epoch_end(trainer, {})
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(_mid_reply_kill_report()))
