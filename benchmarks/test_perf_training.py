@@ -91,6 +91,10 @@ PIPELINE_GATE = (1.15 if os.environ.get("CI") else 1.3) if HAS_PIPELINE_CORES el
 ARENA_GATE = 1.1 if os.environ.get("CI") else 1.2
 #: interleaved timing repetitions per arm (best-of, robust to load spikes)
 ARENA_REPS = 3
+#: interleaved timing repetitions per arm of the parallel test, gated on each
+#: arm's median: single 2-epoch fits of one unchanged tree spread with an
+#: interquartile range of 10-22% of the median on 2 cores
+PARALLEL_REPS = 9
 
 
 def append_bench_record(record: dict) -> None:
@@ -98,18 +102,9 @@ def append_bench_record(record: dict) -> None:
     _append(BENCH_PATH, record)
 
 
-def _run_pretrain_benchmark(
-    benchmark_name: str, *, warmup: bool = False, **config_overrides
-) -> float:
-    """Fit a fresh pre-trainer on the shared pool and append one record.
-
-    ``warmup`` runs one untimed single-epoch fit first — required for the
-    parallel arms (worker spawn + module import is a one-off cost the
-    persistent pool amortises away) and applied to every arm being compared
-    against them so all sides are measured at steady state.  Returns the
-    measured samples/s.
-    """
-    config = AimTSConfig(
+def _pretrain_config(**overrides) -> AimTSConfig:
+    """The reduced pre-training config every arm of this module runs."""
+    return AimTSConfig(
         repr_dim=16,
         proj_dim=8,
         hidden_channels=8,
@@ -120,68 +115,57 @@ def _run_pretrain_benchmark(
         batch_size=16,
         epochs=PRETRAIN_EPOCHS,
         seed=3407,
-        **config_overrides,
+        **overrides,
     )
-    pool = np.random.default_rng(3407).normal(size=POOL_SHAPE)
-    pretrainer = AimTSPretrainer(config)
-    warmup_seconds = 0.0
-    if warmup:
-        start = time.perf_counter()
-        pretrainer.fit(pool, epochs=1)
-        warmup_seconds = time.perf_counter() - start
 
-    epochs_before = len(pretrainer.history.total_loss)
+
+def _timed_fit(pretrainer: AimTSPretrainer, pool: np.ndarray) -> float:
+    """Samples/s of one ``PRETRAIN_EPOCHS`` fit of ``pretrainer`` on ``pool``."""
+    before = len(pretrainer.history.total_loss)
     start = time.perf_counter()
     history = pretrainer.fit(pool, epochs=PRETRAIN_EPOCHS)
     fit_seconds = time.perf_counter() - start
-    pretrainer.shutdown_workers()
-
     # the timed fit must have trained exactly the epochs the samples/s
-    # denominator assumes (the warmup fit shares the history, hence the delta)
-    epochs_run = len(history.total_loss) - epochs_before
-    assert epochs_run == PRETRAIN_EPOCHS
+    # denominator assumes (earlier fits share the history, hence the delta)
+    assert len(history.total_loss) - before == PRETRAIN_EPOCHS
     assert all(np.isfinite(v) for v in history.total_loss)
-    samples_per_sec = POOL_SHAPE[0] * epochs_run / fit_seconds
+    return POOL_SHAPE[0] * PRETRAIN_EPOCHS / fit_seconds
 
-    record = {
-        "benchmark": benchmark_name,
+
+def _record(benchmark: str, pretrainer: AimTSPretrainer, samples_per_sec: float, **extra) -> dict:
+    """One ``BENCH_training.json`` record of a pre-training arm at ``samples_per_sec``."""
+    config = pretrainer.config
+    fit_seconds = POOL_SHAPE[0] * PRETRAIN_EPOCHS / samples_per_sec
+    return {
+        "benchmark": benchmark,
         "pool_shape": list(POOL_SHAPE),
         "compute_dtype": config.compute_dtype,
         "n_workers": config.n_workers,
         "n_producers": config.n_producers,
         "prefetch_depth": config.prefetch_depth,
         "augment_batched": config.augment_batched,
-        "epochs": epochs_run,
+        "epochs": PRETRAIN_EPOCHS,
         "fit_seconds": fit_seconds,
-        "epoch_wallclock_seconds": fit_seconds / epochs_run,
+        "epoch_wallclock_seconds": fit_seconds / PRETRAIN_EPOCHS,
         "samples_per_sec": samples_per_sec,
-        "final_loss": history.total_loss[-1],
+        "final_loss": pretrainer.history.total_loss[-1],
+        **extra,
         **_machine(),
     }
-    if warmup:
-        record["warmup_seconds"] = warmup_seconds
-    extra = ""
-    if config.n_producers >= 1:
-        # producer occupancy + consumer stall time of the timed fit only
-        # (pipeline_stats live on the fit's trainer, reset per fit)
-        summary = pretrainer.trainer.pipeline_summary()
-        record["producer_occupancy"] = summary["producer_occupancy"]
-        record["consumer_stall_seconds"] = summary["consumer_stall_seconds"]
-        record["produce_seconds"] = summary["produce_seconds"]
-        record["oversize_arrays"] = summary["oversize_arrays"]
-        extra = (
-            f", occupancy {summary['producer_occupancy']:.2f}, "
-            f"stall {summary['consumer_stall_seconds']:.2f}s"
-        )
+
+
+def _run_pretrain_benchmark(benchmark_name: str, **config_overrides) -> None:
+    """Time one fit of a fresh pre-trainer on the shared pool and append its record."""
+    pretrainer = AimTSPretrainer(_pretrain_config(**config_overrides))
+    samples_per_sec = _timed_fit(pretrainer, np.random.default_rng(3407).normal(size=POOL_SHAPE))
+    record = _record(benchmark_name, pretrainer, samples_per_sec)
     append_bench_record(record)
     print(
-        f"\n[perf] {benchmark_name} {POOL_SHAPE} x{epochs_run} epochs "
-        f"({config.compute_dtype}, workers={config.n_workers}, "
-        f"producers={config.n_producers}): "
-        f"{fit_seconds:.2f}s total, {fit_seconds / epochs_run:.2f}s/epoch, "
-        f"{samples_per_sec:.1f} samples/s{extra}"
+        f"\n[perf] {benchmark_name} {POOL_SHAPE} x{PRETRAIN_EPOCHS} epochs "
+        f"({record['compute_dtype']}): "
+        f"{record['fit_seconds']:.2f}s total, {record['epoch_wallclock_seconds']:.2f}s/epoch, "
+        f"{samples_per_sec:.1f} samples/s"
     )
-    return samples_per_sec
 
 
 def test_pretrain_epoch_throughput():
@@ -195,57 +179,98 @@ def test_pretrain_epoch_throughput_float32():
 
 
 def test_pretrain_parallel_throughput():
-    """PR 5 + PR 8: batched kernels, sharded workers, pipelined producers.
+    """Batched kernels, sharded workers, pipelined producers.
 
-    Four arms, all float32 and warmed up to steady state: the PR 4 path
-    (per-sample augmentations, sequential), the batched-augmentation
-    sequential path, batched augmentations with ``n_workers=2`` (PR 5), and
-    the pipelined path (``n_producers=2`` rendering + augmenting ahead of the
-    sequential gradient step, PR 8).  The batched sequential arm must never
-    regress; the sharded arm is gated at ``PARALLEL_GATE`` x the PR 4 arm and
-    the pipelined arm at ``PIPELINE_GATE`` x the batched arm — each gate arms
-    only when the machine has a usable core per process (see the constants
-    above), and the arm is recorded ungated otherwise.
+    Four float32 arms: per-sample augmentations (sequential), batched
+    augmentations (sequential), batched augmentations with ``n_workers=2``,
+    and the pipelined path (``n_producers=2`` rendering + augmenting ahead of
+    the sequential gradient step).  Each arm keeps one pre-trainer, and with
+    it its warm pool, for the whole test: after one warmup fit per arm, the
+    arms are timed interleaved, ``PARALLEL_REPS`` two-epoch fits each, and
+    every record and gate reads an arm's median.  The batched sequential arm
+    must never regress; the sharded arm is gated at ``PARALLEL_GATE`` x the
+    per-sample arm and the pipelined arm at ``PIPELINE_GATE`` x the batched
+    arm — each gate arms only when the machine has a usable core per process
+    (see the constants above), and the arm is recorded ungated otherwise.
     """
-    pr4_style = _run_pretrain_benchmark(
-        "pretrain_f32_per_sample_aug",
-        warmup=True,
-        compute_dtype="float32",
-        augment_batched=False,
-    )
-    batched = _run_pretrain_benchmark(
-        "pretrain_f32_batched_aug",
-        warmup=True,
-        compute_dtype="float32",
-    )
-    parallel = _run_pretrain_benchmark(
-        "pretrain_f32_batched_aug_2workers",
-        warmup=True,
-        compute_dtype="float32",
-        n_workers=PARALLEL_WORKERS,
-    )
-    pipelined = _run_pretrain_benchmark(
-        "pretrain_f32_pipelined_2producers",
-        warmup=True,
-        compute_dtype="float32",
-        n_producers=PIPELINE_PRODUCERS,
-        prefetch_depth=PIPELINE_PREFETCH,
-    )
+    pool = np.random.default_rng(3407).normal(size=POOL_SHAPE)
+    arms = {
+        "pretrain_f32_per_sample_aug": dict(augment_batched=False),
+        "pretrain_f32_batched_aug": {},
+        "pretrain_f32_batched_aug_2workers": dict(n_workers=PARALLEL_WORKERS),
+        "pretrain_f32_pipelined_2producers": dict(
+            n_producers=PIPELINE_PRODUCERS, prefetch_depth=PIPELINE_PREFETCH
+        ),
+    }
+    pretrainers = {
+        name: AimTSPretrainer(_pretrain_config(compute_dtype="float32", **knobs))
+        for name, knobs in arms.items()
+    }
+    rates: dict[str, list[float]] = {name: [] for name in arms}
+    warmup_seconds = {}
+    try:
+        for name, pretrainer in pretrainers.items():
+            # warmup: pool spawn, imports, first touch
+            start = time.perf_counter()
+            pretrainer.fit(pool, epochs=1)
+            warmup_seconds[name] = time.perf_counter() - start
+        for _ in range(PARALLEL_REPS):
+            for name, pretrainer in pretrainers.items():
+                rates[name].append(_timed_fit(pretrainer, pool))
+    finally:
+        for pretrainer in pretrainers.values():
+            pretrainer.shutdown_workers()
+
+    medians = {}
+    for name, pretrainer in pretrainers.items():
+        q1, median, q3 = np.percentile(rates[name], [25, 50, 75])
+        medians[name] = median
+        extra = {}
+        if pretrainer.config.n_producers >= 1:
+            # occupancy, consumer stall, produce time and pickled (oversize)
+            # arrays of the last timed fit (pipeline stats reset per fit)
+            summary = pretrainer.trainer.pipeline_summary()
+            extra = {
+                key: summary[key]
+                for key in (
+                    "producer_occupancy",
+                    "consumer_stall_seconds",
+                    "produce_seconds",
+                    "oversize_arrays",
+                )
+            }
+        append_bench_record(
+            _record(
+                name,
+                pretrainer,
+                median,
+                reps=PARALLEL_REPS,
+                samples_per_sec_q1=q1,
+                samples_per_sec_q3=q3,
+                warmup_seconds=warmup_seconds[name],
+                **extra,
+            )
+        )
+        print(
+            f"\n[perf] {name} {POOL_SHAPE} x{PRETRAIN_EPOCHS} epochs, {PARALLEL_REPS} reps: "
+            f"median {median:.1f} samples/s [{q1:.1f}, {q3:.1f}]"
+        )
+    per_sample, batched, parallel, pipelined = medians.values()
     print(
-        f"[perf] PR5/PR8 trajectory: per-sample {pr4_style:.0f} -> batched "
+        f"[perf] parallel arms (medians): per-sample {per_sample:.0f} -> batched "
         f"{batched:.0f} -> {PARALLEL_WORKERS} workers {parallel:.0f} -> "
         f"{PIPELINE_PRODUCERS} producers {pipelined:.0f} samples/s "
         f"(usable cores: {_usable_cores()}, gates: {PARALLEL_GATE}/{PIPELINE_GATE})"
     )
-    assert batched >= 0.95 * pr4_style, (
+    assert batched >= 0.95 * per_sample, (
         f"batched augmentations regressed the sequential path: "
-        f"{batched:.0f} vs {pr4_style:.0f} samples/s"
+        f"{batched:.0f} vs {per_sample:.0f} samples/s"
     )
     if PARALLEL_GATE is not None:
-        assert parallel >= PARALLEL_GATE * pr4_style, (
+        assert parallel >= PARALLEL_GATE * per_sample, (
             f"n_workers={PARALLEL_WORKERS} reached only "
-            f"{parallel / pr4_style:.2f}x the PR 4 float32 baseline "
-            f"({parallel:.0f} vs {pr4_style:.0f} samples/s)"
+            f"{parallel / per_sample:.2f}x the per-sample float32 arm "
+            f"({parallel:.0f} vs {per_sample:.0f} samples/s)"
         )
     if PIPELINE_GATE is not None:
         assert pipelined >= PIPELINE_GATE * batched, (
@@ -326,21 +351,7 @@ def test_pretrain_arena_throughput():
     pool = np.random.default_rng(3407).normal(size=POOL_SHAPE)
 
     def build(step_arena: bool, fused: bool, profile: bool = False):
-        config = AimTSConfig(
-            repr_dim=16,
-            proj_dim=8,
-            hidden_channels=8,
-            depth=1,
-            panel_size=24,
-            series_length=POOL_SHAPE[2],
-            n_variables=POOL_SHAPE[1],
-            batch_size=16,
-            epochs=PRETRAIN_EPOCHS,
-            seed=3407,
-            compute_dtype="float32",
-            step_arena=step_arena,
-        )
-        pretrainer = AimTSPretrainer(config)
+        pretrainer = AimTSPretrainer(_pretrain_config(compute_dtype="float32", step_arena=step_arena))
         pretrainer.profile = profile
         if not fused:
             for encoder in (pretrainer.ts_encoder, pretrainer.image_encoder):
@@ -355,20 +366,11 @@ def test_pretrain_arena_throughput():
         reference.fit(pool, epochs=1)  # warmup: render cache + first-touch costs
     pooled.fit(pool, epochs=1)
 
-    def timed(pretrainer, shim: bool) -> float:
-        before = len(pretrainer.history.total_loss)
-        patch = _pr8_kernels() if shim else contextlib.nullcontext()
-        with patch:
-            start = time.perf_counter()
-            history = pretrainer.fit(pool, epochs=PRETRAIN_EPOCHS)
-            fit_seconds = time.perf_counter() - start
-        assert len(history.total_loss) - before == PRETRAIN_EPOCHS
-        return POOL_SHAPE[0] * PRETRAIN_EPOCHS / fit_seconds
-
     ref_best = pooled_best = 0.0
     for _ in range(ARENA_REPS):
-        ref_best = max(ref_best, timed(reference, shim=True))
-        pooled_best = max(pooled_best, timed(pooled, shim=False))
+        with _pr8_kernels():
+            ref_best = max(ref_best, _timed_fit(reference, pool))
+        pooled_best = max(pooled_best, _timed_fit(pooled, pool))
 
     # profile/arena counters of the final timed fit (the trainer is rebuilt
     # per fit, so these reflect exactly one two-epoch steady-state run)
@@ -378,28 +380,13 @@ def test_pretrain_arena_throughput():
         if key.startswith("profile_")
     }
     arena = {f"arena_{k}": v for k, v in pooled.trainer.arena_stats().items()}
-    shared = {
-        "pool_shape": list(POOL_SHAPE),
-        "compute_dtype": "float32",
-        "epochs": PRETRAIN_EPOCHS,
-        "reps": ARENA_REPS,
-        **_machine(),
-    }
     append_bench_record(
-        {
-            "benchmark": "pretrain_f32_pr8_reference",
-            "samples_per_sec": ref_best,
-            **shared,
-        }
+        _record("pretrain_f32_pr8_reference", reference, ref_best, reps=ARENA_REPS)
     )
     append_bench_record(
-        {
-            "benchmark": "pretrain_f32_arena_fused",
-            "samples_per_sec": pooled_best,
-            **profile,
-            **arena,
-            **shared,
-        }
+        _record(
+            "pretrain_f32_arena_fused", pooled, pooled_best, reps=ARENA_REPS, **profile, **arena
+        )
     )
     phases = ", ".join(f"{k[8:-8]} {v:.2f}s" for k, v in sorted(profile.items()))
     print(

@@ -13,13 +13,16 @@ The tour:
    the lost steps are replayed from their step-keyed seeds,
 4. assert the recovered loss curves are **bit-identical** to the reference
    (``==`` on float64 tuples, not ``allclose``), and print the restart /
-   replay counters from the trainer's pipeline summary.
+   replay counters: the producer pool's from the trainer's pipeline summary,
+   the gradient worker pool's from the pool itself.
 
 This script doubles as the randomized stress probe for the chaos workflow
 (``.github/workflows/chaos.yml``): each workflow iteration passes a fresh
 ``--fault-seed`` so the faults land on different sites and steps every run,
 while the recovery contract stays the same.  Exit code is non-zero when the
-recovered curve diverges.
+recovered curve diverges, or when an arm restarted a child but replayed no
+step (every injected fault lands on a step in flight, so a restart without
+a replay means the counters are wrong).
 
 Run with:  PYTHONPATH=src python examples/chaos_pretrain.py [--fault-seed N]
 """
@@ -69,7 +72,11 @@ def pretrain_curves(pool: np.ndarray, *, heal: bool, **knobs) -> tuple:
     history = model.fit(pool)
     summary = model.trainer.pipeline_summary()
     if model._worker_pool is not None:
-        summary = dict(summary, restarts=model._worker_pool.restart_count)
+        summary = dict(
+            summary,
+            restarts=model._worker_pool.restart_count,
+            replayed_steps=model._worker_pool.resent_messages,
+        )
     model.shutdown_workers()
     curves = (
         tuple(history.total_loss),
@@ -79,7 +86,8 @@ def pretrain_curves(pool: np.ndarray, *, heal: bool, **knobs) -> tuple:
     return curves, summary
 
 
-def run_arm(name, site, knobs, pool, *, fault_seed, n_faults) -> bool:
+def run_arm(name, site, knobs, pool, *, fault_seed, n_faults) -> str | None:
+    """Run one arm; returns what went wrong, or ``None`` when it healed."""
     print(f"== {name} arm: no-fault reference run ==")
     reference, _ = pretrain_curves(pool, heal=False, **knobs)
     print(f"   total-loss curve: {[round(v, 6) for v in reference[0]]}")
@@ -96,12 +104,14 @@ def run_arm(name, site, knobs, pool, *, fault_seed, n_faults) -> bool:
             healed, summary = pretrain_curves(pool, heal=True, **knobs)
 
     identical = healed == reference
-    print(
-        f"   restarts: {summary['restarts']}, "
-        f"replayed steps: {summary.get('replayed_steps', 0)}"
-    )
+    restarts, replayed = summary["restarts"], summary["replayed_steps"]
+    print(f"   restarts: {restarts}, replayed steps: {replayed}")
     print(f"   recovered curve bit-identical to reference: {identical}\n")
-    return identical
+    if not identical:
+        return "DIVERGED: recovery broke the determinism contract"
+    if restarts and not replayed:
+        return f"{restarts} restart(s) but no replayed step"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,20 +131,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     pool = np.random.default_rng(0).normal(size=(32, 1, 64))
-    diverged = [
-        name
-        for name, site, knobs in ARMS
-        if not run_arm(
+    failures = {
+        name: run_arm(
             name, site, knobs, pool,
             fault_seed=args.fault_seed, n_faults=args.n_faults,
         )
-    ]
-    if diverged:
-        print(
-            f"DIVERGED in {', '.join(diverged)} arm(s) — recovery broke the "
-            "determinism contract",
-            file=sys.stderr,
-        )
+        for name, site, knobs in ARMS
+    }
+    failures = {name: problem for name, problem in failures.items() if problem}
+    for name, problem in failures.items():
+        print(f"{name} arm: {problem}", file=sys.stderr)
+    if failures:
         return 1
     print("all arms recovered bit-identically")
     return 0

@@ -199,7 +199,7 @@ def _fold_targets(estimator) -> list:
     """Modules of ``estimator`` that eval-mode Conv→BN folding applies to.
 
     Duck-typed over the repo's estimator families: the AimTS facade exposes a
-    ``pretrainer`` with ``_trainable_modules()``, the neural baselines expose
+    ``pretrainer`` with ``named_modules()``, the neural baselines expose
     ``encoder`` / ``projection``, and any fitted estimator carries a
     fine-tuner with its own encoder + classifier.  Estimators without neural
     modules (Rocket, LinearClassifier) simply contribute nothing.
@@ -208,8 +208,8 @@ def _fold_targets(estimator) -> list:
 
     targets: list = []
     pretrainer = getattr(estimator, "pretrainer", None)
-    if pretrainer is not None and hasattr(pretrainer, "_trainable_modules"):
-        targets.extend(pretrainer._trainable_modules())
+    if pretrainer is not None and hasattr(pretrainer, "named_modules"):
+        targets.extend(pretrainer.named_modules().values())
     for attribute in ("encoder", "projection"):
         module = getattr(estimator, attribute, None)
         if isinstance(module, Module):

@@ -2,28 +2,25 @@
 
 Every neural baseline follows the same recipe: a TS encoder is pre-trained
 with the baseline's own self-supervised objective (``batch_loss``), and a
-classifier is then fine-tuned on the labelled training split via the same
-:class:`~repro.core.finetuner.FineTuner` used by AimTS, so the comparison
-isolates the representation-learning objective.
+classifier is then fine-tuned on the labelled training split by the very
+``fine_tune`` AimTS uses (:class:`~repro.core.finetuner.PretrainedEstimator`),
+so the comparison isolates the representation-learning objective.
 
 All baselines implement the :class:`repro.api.Estimator` contract:
 ``pretrain`` accepts either a raw ``(N, M, T)`` pool or a list of datasets
 (multi-source), ``fine_tune`` returns a ``FineTuneResult`` and arms
 ``predict`` / ``predict_proba``, and ``save`` / ``load`` round-trip the whole
-model through versioned full-bundle checkpoints.
+model through versioned full-bundle checkpoints, written and read by the
+same code as AimTS's.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.estimator import FineTunedPredictorMixin
-from repro.core.config import FineTuneConfig
-from repro.core.finetuner import FineTuner, FineTuneResult
+from repro.core.finetuner import PretrainedEstimator
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.loaders import build_pretraining_pool, epoch_index_batches, z_normalize
 from repro.encoders import ProjectionHead, TSEncoder
@@ -98,7 +95,7 @@ class BaselineConfig:
             )
 
 
-class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
+class SelfSupervisedBaseline(PretrainedEstimator, PersistentPools):
     """Base class for contrastive / reconstruction pre-training baselines.
 
     Subclasses split their objective in two stages.  :meth:`pipeline_produce`
@@ -107,6 +104,12 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
     :meth:`_reseed_for_step` and reads no parameters; :meth:`batch_loss`
     returns the scalar loss Tensor of what it produced and draws nothing at
     random.
+
+    ``fine_tune``, ``make_finetuner``, ``save`` and ``load`` are AimTS's
+    (:class:`~repro.core.finetuner.PretrainedEstimator`).  A bundle stores
+    ``encoder``, ``projection`` and :meth:`_named_auxiliary_modules` under
+    ``model.`` and records :meth:`_manifest_init_kwargs`; ``pretrain``,
+    ``encode`` (which z-normalises) and the pools are the baseline's own.
     """
 
     #: short name used in result tables
@@ -114,6 +117,7 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
     #: registry key (see :data:`repro.api.registry.ESTIMATORS`)
     api_name = "baseline"
     supports_pretraining = True
+    _bundle_prefix = "model."
 
     def __init__(self, config: BaselineConfig | None = None):
         self.config = config or BaselineConfig()
@@ -126,9 +130,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
             )
         #: buffer arena of the :meth:`encode` path, advanced once per micro-batch
         self._workspace = StepArena()
-        self._pretrained = False
-        self._finetuner: FineTuner | None = None
-        self._label_map: np.ndarray | None = None
         #: the engine driver of the most recent / active pretrain() call
         self.trainer: Trainer | None = None
 
@@ -141,11 +142,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
             channel_independent=True,
             rng=int(self._rng.integers(0, 2**31)),
         )
-
-    @property
-    def is_pretrained(self) -> bool:
-        """Whether :meth:`pretrain` (or :meth:`load`) has been called."""
-        return self._pretrained
 
     # ------------------------------------------------------------- objectives
     def pipeline_produce(self, batch: np.ndarray):  # pragma: no cover - interface
@@ -164,17 +160,22 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
         """
         return {}
 
-    def _auxiliary_modules(self) -> list:
-        return list(self._named_auxiliary_modules().values())
+    def _bundle_modules(self) -> dict:
+        return {
+            "encoder": self.encoder,
+            "projection": self.projection,
+            **self._named_auxiliary_modules(),
+        }
+
+    def _pretrained_encoder(self) -> TSEncoder:
+        return self.encoder
 
     def _manifest_init_kwargs(self) -> dict:
         """Constructor keywords (beyond the config) recorded in bundles."""
         return {}
 
     def parameters(self):
-        yield from self.encoder.parameters()
-        yield from self.projection.parameters()
-        for module in self._auxiliary_modules():
+        for module in self._bundle_modules().values():
             yield from module.parameters()
 
     # ------------------------------------------------------------ pre-training
@@ -269,83 +270,6 @@ class SelfSupervisedBaseline(FineTunedPredictorMixin, PersistentPools):
         self._pretrained = True
         return history.curve("loss")
 
-    # ------------------------------------------------------------- evaluation
-    def fine_tune(
-        self,
-        dataset: TimeSeriesDataset,
-        finetune_config: FineTuneConfig | None = None,
-        *,
-        label_ratio: float | None = None,
-    ) -> FineTuneResult:
-        """Fine-tune a classifier on the downstream dataset (encoder included)."""
-        from repro.data.fewshot import few_shot_view
-
-        encoder_copy = copy.deepcopy(self.encoder)
-        # the self-supervised objectives pre-train with "mean" aggregation (the
-        # pool has a fixed number of variables); downstream classification uses
-        # the configured aggregation so every method sees the same head setup
-        encoder_copy.channel_aggregation = self.config.channel_aggregation
-        finetuner = FineTuner(encoder_copy, dataset.n_classes, finetune_config)
-        working = few_shot_view(dataset, label_ratio, seed=self.config.seed)
-        result = finetuner.fit_and_evaluate(working)
-        self._finetuner = finetuner
-        self._label_map = np.arange(dataset.n_classes, dtype=np.int64)
-        return result
-
-    # ------------------------------------------------------------ persistence
-    def _model_modules(self) -> dict:
-        return {
-            "encoder": self.encoder,
-            "projection": self.projection,
-            **self._named_auxiliary_modules(),
-        }
-
-    def save(self, path) -> str:
-        """Save a full-bundle checkpoint (see :mod:`repro.api.bundle`)."""
-        from repro.api.bundle import save_bundle
-
-        arrays: dict[str, np.ndarray] = {}
-        for prefix, module in self._model_modules().items():
-            for key, value in module.state_dict().items():
-                arrays[f"model.{prefix}.{key}"] = value
-        manifest = {
-            "estimator": self.api_name,
-            "config": dataclasses.asdict(self.config),
-            "init_kwargs": self._manifest_init_kwargs(),
-            "pretrained": self._pretrained,
-        }
-        if self.is_fitted:
-            self._pack_finetuner(arrays, manifest)
-        return save_bundle(path, arrays, manifest)
-
-    def load(self, path) -> "SelfSupervisedBaseline":
-        """Load a checkpoint saved by :meth:`save` into this instance."""
-        from repro.api.bundle import load_bundle
-
-        return self._load_from_state(*load_bundle(path))
-
-    def _load_from_state(self, state: dict, manifest: dict) -> "SelfSupervisedBaseline":
-        """Restore from already-read bundle contents (single-read load path)."""
-        from repro.api.bundle import sub_state
-
-        for prefix, module in self._model_modules().items():
-            module.load_state_dict(sub_state(state, f"model.{prefix}"))
-        self._pretrained = bool(manifest.get("pretrained", True))
-        finetune = manifest.get("finetune")
-        if finetune is None:
-            # a pretrain-only bundle resets any classifier fitted before load —
-            # it was trained against weights this instance no longer has
-            self._finetuner = None
-            self._label_map = None
-        else:
-            finetuner = FineTuner(
-                copy.deepcopy(self.encoder),
-                finetune["n_classes"],
-                FineTuneConfig(**finetune["config"]),
-            )
-            self._restore_finetuner(finetuner, state, finetune)
-        return self
-
     # ------------------------------------------------------------------ utils
     def encode(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
         """Representations from the (pre-trained) encoder, without gradients.
@@ -399,7 +323,8 @@ def _baseline_producer_replica(
 
     ``producer_index`` is deliberately unused: replicas are interchangeable
     (determinism is keyed by schedule position, not by which producer ran
-    the step), which is what lets the pool grow and shrink between epochs.
+    the step), so neither the producer count nor a respawned producer
+    replaying a step touches the curve.
     """
     baseline = baseline_cls(config, **init_kwargs)
     baseline._apply_augment_mode()
@@ -422,7 +347,7 @@ class _BaselinePretrainLoop(TrainLoop):
         self.X = X
 
     def named_modules(self) -> dict:
-        return dict(self.baseline._model_modules())
+        return self.baseline._bundle_modules()
 
     def _replica_factory(self, replica):
         import functools

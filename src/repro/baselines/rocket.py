@@ -116,7 +116,7 @@ class Rocket(RidgePredictorMixin):
     def fine_tune(
         self,
         dataset: TimeSeriesDataset,
-        finetune_config=None,
+        config=None,
         *,
         label_ratio: float | None = None,
     ) -> FineTuneResult:

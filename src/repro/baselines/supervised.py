@@ -85,14 +85,17 @@ class SupervisedCNN(FineTunedPredictorMixin):
     def fine_tune(
         self,
         dataset: TimeSeriesDataset,
-        finetune_config: FineTuneConfig | None = None,
+        config: FineTuneConfig | None = None,
         *,
         label_ratio: float | None = None,
     ) -> FineTuneResult:
-        """Train end-to-end on ``dataset.train`` and evaluate on ``dataset.test``."""
+        """Train end-to-end on ``dataset.train`` and evaluate on ``dataset.test``.
+
+        ``config=None`` trains with the constructor's recipe.
+        """
         rng = new_rng(self.seed)
         encoder = self._build_encoder(rng)
-        config = finetune_config or self._default_config()
+        config = config or self._default_config()
         finetuner = FineTuner(encoder, dataset.n_classes, config)
         working = few_shot_view(dataset, label_ratio, seed=self.seed)
         result = finetuner.fit_and_evaluate(working)
@@ -204,11 +207,11 @@ class LinearClassifier(RidgePredictorMixin):
     def fine_tune(
         self,
         dataset: TimeSeriesDataset,
-        finetune_config: FineTuneConfig | None = None,
+        config: FineTuneConfig | None = None,
         *,
         label_ratio: float | None = None,
     ) -> FineTuneResult:
-        """Fit in closed form on ``dataset.train``; ``finetune_config`` is unused."""
+        """Fit in closed form on ``dataset.train``; ``config`` is unused."""
         working = few_shot_view(dataset, label_ratio, seed=self.seed)
         start = time.perf_counter()
         self.fit(working.train.X, working.train.y)

@@ -4,17 +4,28 @@ The fine-tuner takes a (pre-trained) TS encoder, attaches an MLP classifier,
 and trains on the small labelled training split of one downstream dataset
 with cross-entropy.  No augmentation or imaging is applied at this stage —
 raw series go straight through the TS encoder, exactly as in the paper.
+
+:class:`PretrainedEstimator` is the one ``fine_tune`` / ``save`` / ``load``
+of every method that is pre-trained once and fine-tuned per dataset (AimTS
+and the seven self-supervised baselines), so each of them is adapted by
+this :class:`FineTuner` recipe and written to the same bundle layout.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.bundle import load_bundle, save_bundle, sub_state
+from repro.api.estimator import FineTunedPredictorMixin
 from repro.core.config import FineTuneConfig
 from repro.data.dataset import DatasetSplit, TimeSeriesDataset
+from repro.data.fewshot import few_shot_view
 from repro.data.loaders import BatchIterator, z_normalize
 from repro.encoders import ClassifierHead, TSEncoder
 from repro.engine import (
@@ -235,3 +246,129 @@ class _FineTuneLoop(TrainLoop):
         batch_X, batch_y = batch
         logits = self.finetuner._forward(batch_X)
         return F.cross_entropy(logits, batch_y)
+
+
+class PretrainedEstimator(FineTunedPredictorMixin):
+    """Pre-trained once, fine-tuned per dataset: AimTS and the seven
+    self-supervised baselines.
+
+    One ``fine_tune`` / ``save`` / ``load`` serves both families, so every
+    method is adapted with the same :class:`FineTuner` recipe and writes the
+    same bundle layout.  A family supplies data only:
+
+    * :meth:`_bundle_modules` — the named pre-trained modules a bundle
+      stores, under :attr:`_bundle_prefix` (``""`` for AimTS, ``"model."``
+      for the baselines);
+    * :meth:`_pretrained_encoder` — the TS encoder each fine-tuner copies;
+    * :meth:`_manifest_init_kwargs` — the constructor keywords a bundle
+      records (``None`` writes no ``init_kwargs``).
+
+    A subclass holds a ``config`` with ``seed`` and ``channel_aggregation``,
+    and sets ``_pretrained`` when its ``pretrain`` has run.
+    """
+
+    #: array-name prefix of the pre-trained modules in a bundle
+    _bundle_prefix = ""
+    _pretrained = False
+
+    @property
+    def is_pretrained(self) -> bool:
+        """Whether :meth:`pretrain` (or :meth:`load`) has been called."""
+        return self._pretrained
+
+    def _bundle_modules(self) -> dict:  # pragma: no cover - interface
+        """The pre-trained modules a bundle stores, by stable name."""
+        raise NotImplementedError
+
+    def _pretrained_encoder(self):  # pragma: no cover - interface
+        """The TS encoder each new fine-tuner starts from (as a deep copy)."""
+        raise NotImplementedError
+
+    def _manifest_init_kwargs(self) -> dict | None:
+        """Constructor keywords beyond the config that a bundle records."""
+        return None
+
+    # ------------------------------------------------------------- fine-tuning
+    def make_finetuner(self, n_classes: int, config: FineTuneConfig | None = None) -> FineTuner:
+        """A fine-tuner seeded with a copy of the pre-trained encoder.
+
+        The copy keeps every downstream task on the same pre-trained weights.
+        It is switched to ``config.channel_aggregation``; pre-training always
+        aggregates variables with "mean", so its shapes do not depend on the
+        corpus dimensionality.
+        """
+        encoder = copy.deepcopy(self._pretrained_encoder())
+        encoder.channel_aggregation = self.config.channel_aggregation
+        return FineTuner(encoder, n_classes, config)
+
+    def fine_tune(
+        self,
+        dataset: TimeSeriesDataset,
+        config: FineTuneConfig | None = None,
+        *,
+        label_ratio: float | None = None,
+        verbose: bool = False,
+    ) -> FineTuneResult:
+        """Fine-tune on one downstream dataset and evaluate on its test split.
+
+        ``label_ratio`` keeps only that stratified fraction of the training
+        labels (the Table V few-shot protocol).  Returns the
+        :class:`FineTuneResult`; the fitted fine-tuner then backs
+        :meth:`predict` / :meth:`predict_proba`.
+        """
+        finetuner = self.make_finetuner(dataset.n_classes, config)
+        working = few_shot_view(dataset, label_ratio, seed=self.config.seed)
+        result = finetuner.fit_and_evaluate(working, verbose=verbose)
+        self._finetuner = finetuner
+        self._label_map = np.arange(dataset.n_classes, dtype=np.int64)
+        return result
+
+    # ------------------------------------------------------------ persistence
+    def save(self, path: str | os.PathLike) -> str:
+        """Save a full-bundle checkpoint to ``path``; returns the path written.
+
+        The bundle holds the pre-trained modules, the fine-tuned classifier
+        and label map (when :meth:`fine_tune` has run) and the originating
+        config behind a schema-versioned manifest (see :mod:`repro.api.bundle`).
+        """
+        arrays = {
+            f"{self._bundle_prefix}{name}.{key}": value
+            for name, module in self._bundle_modules().items()
+            for key, value in module.state_dict().items()
+        }
+        manifest = {
+            "estimator": self.api_name,
+            "config": dataclasses.asdict(self.config),
+            "pretrained": self._pretrained,
+        }
+        init_kwargs = self._manifest_init_kwargs()
+        if init_kwargs is not None:
+            manifest["init_kwargs"] = init_kwargs
+        if self.is_fitted:
+            self._pack_finetuner(arrays, manifest)
+        return save_bundle(path, arrays, manifest)
+
+    def load(self, path: str | os.PathLike):
+        """Load a bundle saved by :meth:`save` into this instance.
+
+        Raises :class:`~repro.api.bundle.BundleFormatError` for anything
+        that is not a readable bundle.
+        """
+        return self._load_from_state(*load_bundle(path))
+
+    def _load_from_state(self, state: dict, manifest: dict):
+        """Restore from already-read bundle contents (single-read load path)."""
+        for name, module in self._bundle_modules().items():
+            module.load_state_dict(sub_state(state, f"{self._bundle_prefix}{name}"))
+        self._pretrained = bool(manifest.get("pretrained", True))
+        # a classifier fitted before load was trained against weights this
+        # instance no longer has; a bundle without a finetune section drops it
+        self._finetuner = None
+        self._label_map = None
+        finetune = manifest.get("finetune")
+        if finetune is not None:
+            finetuner = self.make_finetuner(
+                finetune["n_classes"], FineTuneConfig(**finetune["config"])
+            )
+            self._restore_finetuner(finetuner, state, finetune)
+        return self

@@ -18,29 +18,29 @@ interchangeable with every baseline: construct it from the registry
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-import os
-
 import numpy as np
 
-from repro.api.estimator import FineTunedPredictorMixin
-from repro.core.config import AimTSConfig, FineTuneConfig
-from repro.core.finetuner import FineTuner, FineTuneResult
+from repro.core.config import AimTSConfig
+from repro.core.finetuner import PretrainedEstimator
 from repro.core.pretrainer import AimTSPretrainer, PretrainHistory
 from repro.data.dataset import TimeSeriesDataset
-from repro.data.fewshot import few_shot_view
 
 
-class AimTS(FineTunedPredictorMixin):
+class AimTS(PretrainedEstimator):
     """Augmented Series and Image Contrastive Learning for TSC.
 
-    The model wraps a :class:`AimTSPretrainer` (pre-training stage) and
-    produces fresh :class:`FineTuner` instances per downstream dataset, so
-    fine-tuning one dataset never contaminates another — exactly the
+    The model wraps a :class:`AimTSPretrainer` (pre-training stage).
+    ``fine_tune``, ``make_finetuner``, ``save`` and ``load`` are the ones
+    every self-supervised baseline uses (:class:`~repro.core.finetuner.
+    PretrainedEstimator`): each downstream dataset gets a fresh
+    :class:`~repro.core.finetuner.FineTuner` on a copy of the pre-trained TS
+    encoder, so fine-tuning one dataset never contaminates another — the
     multi-source generalization paradigm (Fig. 1d) of the paper.  The most
-    recent fine-tuner is kept on the facade, backing :meth:`predict` /
-    :meth:`predict_proba`.
+    recent fine-tuner backs :meth:`predict` / :meth:`predict_proba`.
+
+    A bundle stores the six pre-training modules under their
+    :meth:`AimTSPretrainer.named_modules` names and records no constructor
+    keywords.  ``restart_policy`` and ``trainer`` are the pre-trainer's.
     """
 
     name = "AimTS"
@@ -50,16 +50,24 @@ class AimTS(FineTunedPredictorMixin):
     def __init__(self, config: AimTSConfig | None = None):
         self.config = config or AimTSConfig()
         self.pretrainer = AimTSPretrainer(self.config)
-        self._pretrained = False
-        self._finetuner: FineTuner | None = None
-        self._label_map: np.ndarray | None = None
+
+    @property
+    def restart_policy(self):
+        """The pre-trainer's :class:`~repro.engine.parallel.RestartPolicy`
+        (set it before :meth:`pretrain`)."""
+        return self.pretrainer.restart_policy
+
+    @restart_policy.setter
+    def restart_policy(self, policy) -> None:
+        self.pretrainer.restart_policy = policy
+
+    @property
+    def trainer(self):
+        """The pre-trainer's :class:`~repro.engine.Trainer` of the most recent
+        / active :meth:`pretrain`."""
+        return self.pretrainer.trainer
 
     # ------------------------------------------------------------ pre-training
-    @property
-    def is_pretrained(self) -> bool:
-        """Whether :meth:`pretrain` (or :meth:`load`) has been called."""
-        return self._pretrained
-
     def pretrain(
         self,
         corpus: list[TimeSeriesDataset] | np.ndarray,
@@ -101,112 +109,12 @@ class AimTS(FineTunedPredictorMixin):
         return self.pretrainer.encode(X, batch_size=batch_size)
 
     def shutdown_workers(self) -> None:
-        """Stop the persistent gradient worker pool (``config.n_workers``)."""
+        """Stop the pre-trainer's gradient worker and batch producer pools."""
         self.pretrainer.shutdown_workers()
 
-    # ------------------------------------------------------------- fine-tuning
-    def make_finetuner(
-        self, n_classes: int, config: FineTuneConfig | None = None, *, copy_encoder: bool = True
-    ) -> FineTuner:
-        """Create a fine-tuner seeded with (a copy of) the pre-trained encoder.
+    # ----------------------------------------------------------- bundle hooks
+    def _bundle_modules(self) -> dict:
+        return self.pretrainer.named_modules()
 
-        ``copy_encoder=True`` (default) deep-copies the encoder so that each
-        downstream task starts from the same pre-trained weights.  The copy is
-        switched to the configured downstream ``channel_aggregation`` (the
-        pre-training encoder itself always uses "mean" so prototype shapes do
-        not depend on the corpus dimensionality).
-        """
-        encoder = copy.deepcopy(self.pretrainer.ts_encoder) if copy_encoder else self.pretrainer.ts_encoder
-        encoder.channel_aggregation = self.config.channel_aggregation
-        return FineTuner(encoder, n_classes, config)
-
-    def fine_tune(
-        self,
-        dataset: TimeSeriesDataset,
-        config: FineTuneConfig | None = None,
-        *,
-        label_ratio: float | None = None,
-        verbose: bool = False,
-    ) -> FineTuneResult:
-        """Fine-tune on one downstream dataset and evaluate on its test split.
-
-        Parameters
-        ----------
-        dataset:
-            The downstream dataset.
-        config:
-            Fine-tuning hyper-parameters.
-        label_ratio:
-            If given, only this stratified fraction of the training labels is
-            used (the Table V few-shot protocol).
-        """
-        finetuner = self.make_finetuner(dataset.n_classes, config)
-        working = few_shot_view(dataset, label_ratio, seed=self.config.seed)
-        result = finetuner.fit_and_evaluate(working, verbose=verbose)
-        self._finetuner = finetuner
-        self._label_map = np.arange(dataset.n_classes, dtype=np.int64)
-        return result
-
-    # ------------------------------------------------------------ persistence
-    def _pretrain_modules(self) -> dict[str, object]:
-        return {
-            "ts_encoder": self.pretrainer.ts_encoder,
-            "image_encoder": self.pretrainer.image_encoder,
-            "view_projection": self.pretrainer.view_projection,
-            "prototype_projection": self.pretrainer.prototype_projection,
-            "series_projection": self.pretrainer.series_projection,
-            "image_projection": self.pretrainer.image_projection,
-        }
-
-    def save(self, path: str | os.PathLike) -> str:
-        """Save a full-bundle checkpoint of the model to ``path``.
-
-        The bundle holds the pre-trained encoders and projection heads, the
-        fine-tuned classifier (when :meth:`fine_tune` has run), the label map
-        and the originating config, all behind a schema-versioned manifest —
-        see :mod:`repro.api.bundle`.
-        """
-        from repro.api.bundle import save_bundle
-
-        arrays: dict[str, np.ndarray] = {}
-        for prefix, module in self._pretrain_modules().items():
-            for key, value in module.state_dict().items():
-                arrays[f"{prefix}.{key}"] = value
-        manifest = {
-            "estimator": self.api_name,
-            "config": dataclasses.asdict(self.config),
-            "pretrained": self._pretrained,
-        }
-        if self.is_fitted:
-            self._pack_finetuner(arrays, manifest)
-        return save_bundle(path, arrays, manifest)
-
-    def load(self, path: str | os.PathLike) -> "AimTS":
-        """Load a bundle saved by :meth:`save`.
-
-        Raises :class:`repro.api.BundleFormatError` for anything that is not
-        a readable bundle, including a pre-bundle state-dict archive.
-        """
-        from repro.api.bundle import load_bundle
-
-        return self._load_from_state(*load_bundle(path))
-
-    def _load_from_state(self, state: dict, manifest: dict) -> "AimTS":
-        """Restore from already-read bundle contents (single-read load path)."""
-        from repro.api.bundle import sub_state
-
-        for prefix, module in self._pretrain_modules().items():
-            module.load_state_dict(sub_state(state, prefix))
-
-        # any classifier fitted before load was trained against weights this
-        # instance no longer has; a bundle without a finetune section resets it
-        self._finetuner = None
-        self._label_map = None
-        self._pretrained = bool(manifest.get("pretrained", True))
-        finetune = manifest.get("finetune")
-        if finetune is not None:
-            finetuner = self.make_finetuner(
-                finetune["n_classes"], FineTuneConfig(**finetune["config"])
-            )
-            self._restore_finetuner(finetuner, state, finetune)
-        return self
+    def _pretrained_encoder(self):
+        return self.pretrainer.ts_encoder

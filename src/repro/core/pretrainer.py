@@ -133,8 +133,8 @@ def _pretrain_producer_replica(
     parent's render table when the parent produces, ``None`` in producer
     processes.  ``producer_index`` is deliberately unused for anything
     stochastic: every stream ``produce`` consumes is re-keyed per step, so
-    replicas are interchangeable and the pool can grow/shrink without
-    touching the curve.
+    replicas are interchangeable — the producer count, and a respawned
+    producer replaying a step, never touch the curve.
     """
     return _PretrainProducer(config, cache)
 
@@ -255,19 +255,24 @@ class AimTSPretrainer(PersistentPools):
         self.profile = False
 
     # ------------------------------------------------------------------ parts
-    def _trainable_modules(self):
-        return [
-            self.ts_encoder,
-            self.image_encoder,
-            self.view_projection,
-            self.prototype_projection,
-            self.series_projection,
-            self.image_projection,
-        ]
+    def named_modules(self) -> dict:
+        """The six trainable modules of the pre-training stage, by stable name.
+
+        The one list of them: its order is the optimizer's parameter order,
+        and its names are the array prefixes of an AimTS bundle.
+        """
+        return {
+            "ts_encoder": self.ts_encoder,
+            "image_encoder": self.image_encoder,
+            "view_projection": self.view_projection,
+            "prototype_projection": self.prototype_projection,
+            "series_projection": self.series_projection,
+            "image_projection": self.image_projection,
+        }
 
     def parameters(self):
         """All trainable parameters of the pre-training stage."""
-        for module in self._trainable_modules():
+        for module in self.named_modules().values():
             yield from module.parameters()
 
     def _encode_views(self, views: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -562,15 +567,7 @@ class _PretrainLoop(TrainLoop):
         return total
 
     def named_modules(self) -> dict:
-        pretrainer = self.pretrainer
-        return {
-            "ts_encoder": pretrainer.ts_encoder,
-            "image_encoder": pretrainer.image_encoder,
-            "view_projection": pretrainer.view_projection,
-            "prototype_projection": pretrainer.prototype_projection,
-            "series_projection": pretrainer.series_projection,
-            "image_projection": pretrainer.image_projection,
-        }
+        return self.pretrainer.named_modules()
 
     def metric_names(self) -> tuple[str, ...]:
         return ("loss", "prototype", "series_image")

@@ -1160,10 +1160,10 @@ class PersistentPools:
     #: persistent batch-producer pool (``config.n_producers >= 1``), spawned
     #: by the first fit and reused by every later one
     _producer_pool: ProducerPool | None = None
-    #: optional :class:`RestartPolicy` armed on the pools (and the trainer's
-    #: degradation ladder); set it before a fit.  Kept off the config so
-    #: injectable test clocks never travel to spawn children with the
-    #: pickled config.
+    #: optional :class:`RestartPolicy` armed on the pools when a fit spawns
+    #: them; set it before the first fit (a live pool keeps the policy it
+    #: was spawned with).  Kept off the config so injectable test clocks
+    #: never travel to spawn children with the pickled config.
     restart_policy: RestartPolicy | None = None
 
     def _open_pools(self, loop, parameters, config, compute_dtype: str) -> None:

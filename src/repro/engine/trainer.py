@@ -103,12 +103,15 @@ class Trainer:
         across fits).  The caller owns and closes it.
     restart_policy:
         Optional :class:`~repro.engine.parallel.RestartPolicy` passed to
-        trainer-spawned pools: crashed producers/workers are respawned and
-        their steps replayed bit-identically (step-keyed streams).  When the
-        restart budget runs out, a pipelined fit *degrades* to producing
-        inline on the parent with a ``RuntimeWarning`` (recorded in
-        ``degradation_events``) instead of raising — the curve is unchanged,
-        only the prefetch is lost.  ``None`` keeps fail-fast semantics.
+        trainer-spawned pools (a borrowed pool keeps the policy its owner
+        gave it): crashed producers/workers are respawned and their steps
+        replayed bit-identically (step-keyed streams).  ``None`` is a budget
+        of zero restarts.  A producer failure beyond the budget — the first
+        one under ``None`` — *degrades* a pipelined fit to producing inline
+        on the parent with a ``RuntimeWarning`` (recorded in
+        ``degradation_events``): the fit returns and the curve is unchanged,
+        only the prefetch is lost.  A gradient worker failure beyond the
+        budget raises :class:`~repro.engine.parallel.WorkerError`.
     step_arena:
         Pools every steady-state training allocation in a
         :class:`~repro.nn.arena.StepArena` (default ``True``): forward

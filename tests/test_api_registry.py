@@ -203,7 +203,7 @@ class TestFullBundleContents:
 
         model = AimTS(tiny_config)
         state = {}
-        for prefix, module in model._pretrain_modules().items():
+        for prefix, module in model.pretrainer.named_modules().items():
             for key, value in module.state_dict().items():
                 state[f"{prefix}.{key}"] = value
         path = save_state_dict(state, tmp_path / "legacy-aimts")

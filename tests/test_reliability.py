@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import make_estimator
 from repro.api.bundle import load_bundle, save_bundle
 from repro.baselines import BaselineConfig, SimCLR, TLoss
 from repro.core.config import AimTSConfig
@@ -189,6 +190,29 @@ class TestSelfHealingPretrain:
         assert curve == pipelined_reference
         assert summary["restarts"] >= 1
         assert summary["replayed_steps"] >= 1
+
+    def test_readme_flow_heals_through_the_estimator_facade(self, pipelined_reference, tmp_path):
+        """README's Reliability example on ``make_estimator("aimts")``: the
+        facade's ``restart_policy`` reaches the pools and ``trainer`` is the
+        pre-trainer's, so the fit heals instead of degrading."""
+        model = make_estimator("aimts", **TINY, n_producers=1, prefetch_depth=2)
+        model.restart_policy = RestartPolicy(3, sleep=no_sleep)
+        try:
+            with faults.armed(FaultPlan([("producer.step", 1)], scratch_dir=tmp_path)):
+                history = model.pretrain(tiny_pool())
+            summary = model.trainer.pipeline_summary()
+            events = list(model.trainer.degradation_events)
+        finally:
+            model.shutdown_workers()
+        curve = (
+            tuple(history.total_loss),
+            tuple(history.prototype_loss),
+            tuple(history.series_image_loss),
+        )
+        assert summary["restarts"] >= 1
+        assert summary["replayed_steps"] >= 1
+        assert events == []
+        assert curve == pipelined_reference
 
     def test_worker_crash_respawns_bit_identically(self, tmp_path):
         reference, _, _ = _aimts_run(tiny_pool(), restart=False, n_workers=2)
