@@ -34,6 +34,12 @@ from repro.core.finetuner import FineTuner
 from repro.core.pretrainer import AimTSPretrainer
 from repro.data.archives import make_dataset
 from repro.encoders import TSEncoder
+from repro.nn import functional as F
+from repro.nn.arena import active_arena, result_template
+from repro.nn.functional import _col2im_2d
+from repro.nn.functional import conv1d as _conv1d
+from repro.nn.inference import _pad, _project
+from repro.nn.tensor import Tensor, is_grad_enabled
 
 pytestmark = pytest.mark.perf
 
@@ -280,59 +286,149 @@ def test_pretrain_parallel_throughput():
         )
 
 
+# --------------------------------------------------------------------------- #
+# The im2col/col2im conv arithmetic of the arena gate's reference arm
+# --------------------------------------------------------------------------- #
+#: memoized flat scatter indices of :func:`_legacy_col2im_1d`, as the old
+#: kernel kept them
+_LEGACY_SCATTER_INDEX: dict[tuple, np.ndarray] = {}
+
+
+def _legacy_im2col_1d(x, kernel, stride, dilation, out=None):
+    """``(B, C, T_padded)`` → ``(B, out_t, C*kernel)`` patches through a
+    strided ``sliding_window_view`` transpose."""
+    batch, channels, length = x.shape
+    span = (kernel - 1) * dilation + 1
+    out_t = (length - span) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[:, :, ::stride, ::dilation]
+    if out is not None:
+        np.copyto(out.reshape(batch, out_t, channels, kernel), windows.transpose(0, 2, 1, 3))
+        return out
+    return np.ascontiguousarray(windows.transpose(0, 2, 1, 3).reshape(batch, out_t, channels * kernel))
+
+
+def _legacy_col2im_1d(cols, x_shape, kernel, stride, dilation):
+    """Scatter ``(B, out_t, C*kernel)`` gradients back to ``(B, C, T_padded)``
+    with one float64 ``np.bincount`` over all taps, for either dtype (float32
+    columns are promoted and the result cast back)."""
+    batch, channels, length = x_shape
+    out_t = (length - (kernel - 1) * dilation - 1) // stride + 1
+    key = (*x_shape, kernel, stride, dilation)
+    index = _LEGACY_SCATTER_INDEX.get(key)
+    if index is None:
+        positions = (
+            np.arange(kernel)[:, None] * dilation + np.arange(out_t)[None, :] * stride
+        ).reshape(-1)
+        rows = np.arange(batch * channels)[:, None] * length
+        index = _LEGACY_SCATTER_INDEX[key] = (rows + positions[None, :]).ravel()
+    taps = cols.astype(np.float64).reshape(batch, out_t, channels, kernel)
+    values = taps.transpose(0, 2, 3, 1).reshape(-1)
+    flat = np.bincount(index, weights=values, minlength=batch * channels * length)
+    return flat.reshape(x_shape).astype(cols.dtype)
+
+
+def _legacy_col2im_2d(cols, x_shape, kernel, stride):
+    """``_col2im_2d`` on float64-promoted columns, cast back."""
+    return _col2im_2d(cols.astype(np.float64), x_shape, kernel, stride).astype(cols.dtype)
+
+
+def _legacy_conv1d_forward(
+    x, weight, bias=None, *, stride=1, padding=0, dilation=1, relu=False, requires_grad=False
+):
+    """The im2col conv1d forward: pad, patch matrix, one GEMM; returns
+    ``(out, cols, mask)``."""
+    arena = active_arena()
+    pool = None if arena is None else arena.buffer if requires_grad else arena.scratch
+    x_padded = _pad(x, (padding,), "conv1d", arena)
+    batch, channels, length = x_padded.shape
+    kernel = weight.shape[2]
+    out_t = (length - (kernel - 1) * dilation - 1) // stride + 1
+    out = None if pool is None else pool("conv1d.cols", (batch, out_t, channels * kernel), x.dtype)
+    cols = _legacy_im2col_1d(x_padded, kernel, stride, dilation, out=out)
+    out, mask = _project(cols, weight, bias, relu, arena, pool, "conv1d")
+    return out, cols, mask
+
+
+def _legacy_conv1d(x, weight, bias=None, *, stride=1, padding=0, dilation=1, relu=False):
+    """The im2col/col2im conv1d autograd node."""
+    out_channels, in_channels, kernel = weight.shape
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
+    out, cols, mask = _legacy_conv1d_forward(
+        x.data, weight.data, None if bias is None else bias.data, stride=stride,
+        padding=padding, dilation=dilation, relu=relu, requires_grad=requires_grad,
+    )
+    if not requires_grad:
+        return Tensor(out)
+    batch, out_t = cols.shape[:2]
+    w_flat = weight.data.reshape(out_channels, -1)  # (C_out, C_in*K)
+    x_padded_shape = (batch, in_channels, x.shape[2] + 2 * padding)
+
+    def backward(grad):
+        pool = active_arena()
+        if mask is not None:
+            mask_t = mask.transpose(0, 2, 1)
+            if pool is not None and grad.shape == mask_t.shape:
+                grad = np.multiply(
+                    grad, mask_t,
+                    out=pool.scratch("conv1d.gmask", grad.shape, grad.dtype,
+                                     like=result_template(grad.shape, grad, mask_t)),
+                )
+            else:
+                grad = grad * mask_t
+        grad_out = grad.transpose(0, 2, 1)  # (B, out_t, C_out)
+        if weight.requires_grad:
+            rows = grad_out.shape[0] * grad_out.shape[1]
+            cols_flat = cols.reshape(rows, -1)
+            if pool is not None:
+                flat_grad = pool.scratch("conv1d.gflat", (rows, out_channels), grad_out.dtype)
+                np.copyto(flat_grad.reshape(grad_out.shape), grad_out)
+                grad_w = np.matmul(
+                    flat_grad.T, cols_flat,
+                    out=pool.scratch("conv1d.gw", (out_channels, cols_flat.shape[1]), grad_out.dtype),
+                )
+            else:
+                grad_w = grad_out.reshape(rows, out_channels).T @ cols_flat
+            weight._accumulate(grad_w.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad_out.sum(axis=(0, 1)))
+        if x.requires_grad:
+            if pool is not None and grad_out.dtype == w_flat.dtype:
+                grad_cols = np.matmul(
+                    grad_out, w_flat,
+                    out=pool.scratch("conv1d.gcols", (batch, out_t, in_channels * kernel), grad_out.dtype),
+                )
+            else:
+                grad_cols = grad_out @ w_flat  # (B, out_t, C_in*K)
+            grad_padded = _legacy_col2im_1d(grad_cols, x_padded_shape, kernel, stride, dilation)
+            if padding:
+                grad_padded = grad_padded[:, :, padding:-padding]
+            x._accumulate(grad_padded)
+
+    return Tensor._make(out, parents, backward)
+
+
 @contextlib.contextmanager
 def _pr8_kernels():
     """Temporarily restore PR 8's conv scratch arithmetic.
 
     The reference arm of the PR 10 gate must reproduce what the code shipped
-    before PR 10: ``_col2im_*`` (``repro.nn.functional``) promoted float32
-    columns to float64 for the bincount scatter and cast the result back,
-    and ``_im2col_1d`` (``repro.nn.inference``, home of the conv forward)
-    gathered through a strided ``sliding_window_view`` transpose.  Both are
-    patched at module level for the duration of the reference arm's fits
-    (the internal call sites resolve the module globals at call time).
+    before the step arena: the im2col/col2im conv1d node copied into this
+    module (a strided ``sliding_window_view`` gather, and a col2im that
+    promoted float32 columns to float64 for the bincount scatter and cast
+    the result back), and the same promotion in conv2d's ``_col2im_2d``.
+    ``F.conv1d`` and ``F._col2im_2d`` are patched for the duration of the
+    reference arm's fits (``Conv1d`` and ``conv2d`` look them up at call
+    time); every ``repro`` name this shim reads or replaces is bound when
+    the module is imported, so a rename fails the collection.
     """
-    import repro.nn.functional as F
-    import repro.nn.inference as NI
-
-    col2im_1d, col2im_2d, im2col_1d = F._col2im_1d, F._col2im_2d, NI._im2col_1d
-
-    def legacy_col2im_1d(cols, x_shape, kernel, stride, dilation):
-        return col2im_1d(
-            cols.astype(np.float64), x_shape, kernel, stride, dilation
-        ).astype(cols.dtype)
-
-    def legacy_col2im_2d(cols, x_shape, kernel, stride):
-        return col2im_2d(cols.astype(np.float64), x_shape, kernel, stride).astype(
-            cols.dtype
-        )
-
-    def legacy_im2col_1d(x, kernel, stride, dilation, out=None):
-        batch, channels, length = x.shape
-        span = (kernel - 1) * dilation + 1
-        out_t = (length - span) // stride + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[
-            :, :, ::stride, ::dilation
-        ]
-        if out is not None:
-            np.copyto(
-                out.reshape(batch, out_t, channels, kernel),
-                windows.transpose(0, 2, 1, 3),
-            )
-            return out
-        return np.ascontiguousarray(
-            windows.transpose(0, 2, 1, 3).reshape(batch, out_t, channels * kernel)
-        )
-
-    F._col2im_1d = legacy_col2im_1d
-    F._col2im_2d = legacy_col2im_2d
-    NI._im2col_1d = legacy_im2col_1d
+    F.conv1d = _legacy_conv1d
+    F._col2im_2d = _legacy_col2im_2d
     try:
         yield
     finally:
-        F._col2im_1d = col2im_1d
-        F._col2im_2d = col2im_2d
-        NI._im2col_1d = im2col_1d
+        F.conv1d = _conv1d
+        F._col2im_2d = _col2im_2d
 
 
 def test_pretrain_arena_throughput():

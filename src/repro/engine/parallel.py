@@ -452,7 +452,9 @@ class _ChildPool:
         self._factory = factory
         self._context = get_context(start_method)
         self.timeout = float(timeout)
-        self._restart_policy = restart_policy
+        #: the policy the next recovery reads (:class:`PersistentPools` sets
+        #: it again before each fit); its budget counts over the pool's life
+        self.restart_policy = restart_policy
         self._restarts_used = 0
         #: children respawned over the pool's lifetime (observability)
         self.restart_count = 0
@@ -576,7 +578,7 @@ class _ChildPool:
 
         Beyond the restart budget the pool breaks with :class:`WorkerError`.
         """
-        policy = self._restart_policy
+        policy = self.restart_policy
         while policy is not None and self._restarts_used < policy.max_restarts:
             policy.pause(self._restarts_used)
             self._restarts_used += 1
@@ -1160,14 +1162,14 @@ class PersistentPools:
     #: persistent batch-producer pool (``config.n_producers >= 1``), spawned
     #: by the first fit and reused by every later one
     _producer_pool: ProducerPool | None = None
-    #: optional :class:`RestartPolicy` armed on the pools when a fit spawns
-    #: them; set it before the first fit (a live pool keeps the policy it
-    #: was spawned with).  Kept off the config so injectable test clocks
-    #: never travel to spawn children with the pickled config.
+    #: optional :class:`RestartPolicy` armed on the pools before each fit,
+    #: on a live pool as on a new one.  Kept off the config so injectable
+    #: test clocks never travel to spawn children with the pickled config.
     restart_policy: RestartPolicy | None = None
 
     def _open_pools(self, loop, parameters, config, compute_dtype: str) -> None:
-        """Spawn the pools ``config`` asks for that are not running yet.
+        """Spawn the pools ``config`` asks for that are not running yet, and
+        arm every pool with the current :attr:`restart_policy`.
 
         A pool that broke (or was closed) in an earlier fit is replaced, not
         reused — e.g. after the trainer degraded a pipelined fit to inline.
@@ -1186,7 +1188,6 @@ class PersistentPools:
                 parameters,
                 n_workers=config.n_workers,
                 compute_dtype=compute_dtype,
-                restart_policy=self.restart_policy,
                 step_arena=config.step_arena,
             )
         if config.n_producers >= 1 and self._producer_pool is None:
@@ -1195,8 +1196,10 @@ class PersistentPools:
                 n_producers=config.n_producers,
                 prefetch_depth=config.prefetch_depth,
                 compute_dtype=compute_dtype,
-                restart_policy=self.restart_policy,
             )
+        for pool in (self._worker_pool, self._producer_pool):
+            if pool is not None:
+                pool.restart_policy = self.restart_policy
 
     def shutdown_workers(self) -> None:
         """Stop the persistent worker and producer pools (idempotent no-op

@@ -115,9 +115,9 @@ class Trainer:
     step_arena:
         Pools every steady-state training allocation in a
         :class:`~repro.nn.arena.StepArena` (default ``True``): forward
-        intermediates, im2col patch matrices, gradient buffers and VJP
-        scratch all reuse plan-once buffers, keyed per step by a generation
-        counter that the trainer advances after every batch.  Bit-identical
+        intermediates, padded conv inputs, conv2d patch matrices, gradient
+        buffers and VJP scratch all reuse plan-once buffers, keyed per step
+        by a generation counter that the trainer advances after every batch.  Bit-identical
         to the allocate-fresh path (the arena only changes *where* arrays
         live, never their values).  Pass ``None``/``False`` for the
         allocate-fresh escape hatch, or a ready ``StepArena`` to share one.

@@ -11,21 +11,21 @@ inside their own arena, advanced once per micro-batch
 Two pool disciplines cover every training allocation pattern:
 
 * :meth:`StepArena.buffer` — **generation-keyed** buffers for arrays that
-  stay live until the step completes (im2col patch matrices, convolution
-  outputs, activation masks, accumulated gradients).  The full key is
-  ``(tag, shape, dtype, occurrence)`` where ``occurrence`` counts prior
-  requests for the same ``(tag, shape, dtype)`` within the current
-  generation: the N-th identical request of every step returns the same
-  buffer, and two live arrays of one step can never alias.  A shape change
-  (e.g. the smaller last batch of an epoch) simply populates its own buffer
-  set.
+  stay live until the step completes (padded conv1d inputs, conv2d im2col
+  patch matrices, convolution outputs, activation masks, accumulated
+  gradients).  The full key is ``(tag, shape, dtype, occurrence)`` where
+  ``occurrence`` counts prior requests for the same ``(tag, shape, dtype)``
+  within the current generation: the N-th identical request of every step
+  returns the same buffer, and two live arrays of one step can never alias.
+  A shape change (e.g. the smaller last batch of an epoch) simply populates
+  its own buffer set.
 * :meth:`StepArena.scratch` — a **single** buffer per ``(tag, shape,
   dtype)`` for transient temporaries that are consumed immediately (VJP
   products that are copied into a gradient buffer by
-  ``Tensor._accumulate``; under ``no_grad()`` also the patch matrices and
-  masks nothing keeps for a backward pass).  Reusing one slot per call-site
-  keeps the pool footprint proportional to the working set, not the step
-  length.
+  ``Tensor._accumulate``; under ``no_grad()`` also the padded inputs, patch
+  matrices and masks nothing keeps for a backward pass).  Reusing one slot
+  per call-site keeps the pool footprint proportional to the working set,
+  not the step length.
 
 :meth:`StepArena.advance` rolls the generation over between steps — a
 counter reset, not a free/alloc cycle — after which every ``buffer`` slot

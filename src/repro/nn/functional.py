@@ -1,11 +1,12 @@
 """Functional neural-network primitives built on :class:`repro.nn.tensor.Tensor`.
 
-The convolutions are implemented with im2col/col2im so that both the forward
-and backward passes reduce to dense matrix multiplications, which keeps the
-pure-NumPy substrate fast enough for the experiments in this reproduction.
-Their forward arithmetic lives in :mod:`repro.nn.inference`
-(``conv1d_forward`` / ``conv2d_forward``); the nodes here add the input
-checks and the backward closures.
+Both convolutions reduce their forward and backward passes to dense matrix
+multiplications, which keeps the pure-NumPy substrate fast enough for the
+experiments in this reproduction: ``conv1d`` runs one GEMM per kernel tap on
+shifted rows of the padded input (no patch matrix, no scatter), ``conv2d``
+runs im2col/col2im.  Their forward arithmetic lives in
+:mod:`repro.nn.inference` (``conv1d_forward`` / ``conv2d_forward``); the
+nodes here add the input checks and the backward closures.
 """
 
 from __future__ import annotations
@@ -93,95 +94,6 @@ def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
-# --------------------------------------------------------------------------- #
-# col2im helpers (1-D)
-# --------------------------------------------------------------------------- #
-def _col2im_1d_reference(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int],
-    kernel: int,
-    stride: int,
-    dilation: int,
-) -> np.ndarray:
-    """Bit-exact scalar reference for :func:`_col2im_1d` (loop over taps)."""
-    batch, channels, length = x_shape
-    span = (kernel - 1) * dilation + 1
-    out_t = (length - span) // stride + 1
-    grad_x = np.zeros(x_shape, dtype=cols.dtype)
-    cols = cols.reshape(batch, out_t, channels, kernel)
-    for k in range(kernel):
-        offset = k * dilation
-        positions = np.arange(out_t) * stride + offset
-        np.add.at(grad_x, (slice(None), slice(None), positions), cols[:, :, :, k].transpose(0, 2, 1))
-    return grad_x
-
-
-#: memoized flat scatter indices for the vectorized col2im kernels — shapes
-#: repeat every batch, so the index arithmetic is paid once per shape
-_COL2IM_INDEX_CACHE: dict[tuple, np.ndarray] = {}
-_COL2IM_INDEX_CACHE_MAX = 32
-
-
-def _cached_scatter_index(key: tuple, build) -> np.ndarray:
-    index = _COL2IM_INDEX_CACHE.get(key)
-    if index is None:
-        while len(_COL2IM_INDEX_CACHE) >= _COL2IM_INDEX_CACHE_MAX:
-            # evict the oldest entry only (insertion order), so a working set
-            # spanning many conv shapes never drops its hot entries wholesale
-            _COL2IM_INDEX_CACHE.pop(next(iter(_COL2IM_INDEX_CACHE)))
-        index = _COL2IM_INDEX_CACHE[key] = build()
-    return index
-
-
-def _col2im_1d(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int],
-    kernel: int,
-    stride: int,
-    dilation: int,
-) -> np.ndarray:
-    """Scatter ``(B, out_t, C*kernel)`` gradients back to ``(B, C, T_padded)``.
-
-    float64 keeps the documented ``np.bincount`` scatter over all kernel taps
-    at once (tap-major flatten order, bit-identical to
-    :func:`_col2im_1d_reference`).  float32 takes a native per-tap strided-add
-    path: positions within one tap are unique, so a basic-slicing ``+=`` per
-    tap accumulates in the same tap order the reference does — bit-identical
-    to the reference *in float32*, with no full-size float64 round trip (the
-    old path accumulated in float64 and cast back every backward).
-    """
-    batch, channels, length = x_shape
-    span = (kernel - 1) * dilation + 1
-    out_t = (length - span) // stride + 1
-
-    if cols.dtype != np.float64:
-        arena = active_arena()
-        if arena is not None:
-            grad_x = arena.scratch("col2im1d", x_shape, cols.dtype)
-            grad_x[...] = 0
-        else:
-            grad_x = np.zeros(x_shape, dtype=cols.dtype)
-        taps = cols.reshape(batch, out_t, channels, kernel)
-        end = (out_t - 1) * stride + 1
-        for k in range(kernel):
-            offset = k * dilation
-            grad_x[:, :, offset : offset + end : stride] += taps[:, :, :, k].transpose(0, 2, 1)
-        return grad_x
-
-    def build() -> np.ndarray:
-        positions = (
-            np.arange(kernel)[:, None] * dilation + np.arange(out_t)[None, :] * stride
-        ).reshape(-1)
-        rows = np.arange(batch * channels)[:, None] * length
-        return (rows + positions[None, :]).ravel()
-
-    index = _cached_scatter_index(("1d", *x_shape, kernel, stride, dilation), build)
-    taps = cols.reshape(batch, out_t, channels, kernel)
-    values = taps.transpose(0, 2, 3, 1).reshape(-1)
-    flat = np.bincount(index, weights=values, minlength=batch * channels * length)
-    return flat.reshape(x_shape).astype(cols.dtype, copy=False)
-
-
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -205,15 +117,22 @@ def conv1d(
     relu:
         Fuse a ReLU into this node.  Bit-identical to ``conv1d(...).relu()``:
         the forward applies the same ``out * (out > 0)`` product and the
-        backward masks the incoming gradient in the same layout the
-        decomposed relu node would before the convolution VJPs run.
+        backward masks the incoming gradient exactly as the decomposed relu
+        node would before the convolution VJPs run.
 
-    The forward is :func:`repro.nn.inference.conv1d_forward`: with an
-    active :class:`~repro.nn.arena.StepArena` the padded input, patch
-    matrix, output and relu mask all come from pooled buffers — the same
-    arithmetic, no steady-state allocations.  When no gradient is recorded
-    (``no_grad()``, or no operand requires one) the node keeps nothing for a
-    backward pass.
+    The forward is :func:`repro.nn.inference.conv1d_forward`, one GEMM per
+    kernel tap on a channels-last padded copy of the input.  The backward
+    works on the same rows: the (masked) output gradient is written at rows
+    ``s·t`` of a zeroed ``(B, T_pad, C_out)`` grid, and with the grid ``G``
+    and the padded input ``X`` viewed as flat ``(B·T_pad, ·)`` matrices and
+    ``N = B·T_pad − (K−1)·d``, tap ``k`` contributes the weight gradient
+    ``G[:N]^T @ X[k·d : k·d+N]`` and the input gradient
+    ``gX[k·d : k·d+N] += G[:N] @ W[:, :, k]`` — K GEMMs each, no patch
+    matrix and no scatter.  Rows that straddle two series only meet zero
+    grid rows.
+    With an active :class:`~repro.nn.arena.StepArena` every intermediate
+    comes from pooled buffers; when no gradient is recorded (``no_grad()``,
+    or no operand requires one) the node keeps nothing for a backward pass.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d expects (B, C, T) input, got shape {x.shape}")
@@ -224,7 +143,7 @@ def conv1d(
         )
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out, cols, mask = NI.conv1d_forward(
+    out, x_padded, mask = NI.conv1d_forward(
         x.data,
         weight.data,
         None if bias is None else bias.data,
@@ -236,59 +155,55 @@ def conv1d(
     )
     if not requires_grad:
         return Tensor(out)
-    batch, out_t = cols.shape[:2]
-    w_flat = weight.data.reshape(out_channels, -1)  # (C_out, C_in*K)
-    x_padded_shape = (batch, in_channels, x.shape[2] + 2 * padding)
+    batch, padded_length = x_padded.shape[:2]
+    length = x.shape[2]
+    end = (out.shape[2] - 1) * stride + 1
+    # flat rows of the padded input; tap k reads rows k·d .. k·d + n
+    x_flat = x_padded.reshape(batch * padded_length, in_channels)
+    n = batch * padded_length - (kernel - 1) * dilation
 
     def backward(grad):
         pool = active_arena()
+        shape = (batch, padded_length, out_channels)
+        if pool is None:
+            grid = np.zeros(shape, out.dtype)
+        else:
+            grid = pool.scratch("conv1d.grid", shape, out.dtype)
+            grid[...] = 0
+        rows = grid[:, :end:stride]  # (B, T_out, C_out), the mask's layout
+        rows.transpose(0, 2, 1)[...] = grad
         if mask is not None:
-            mask_t = mask.transpose(0, 2, 1)
-            if pool is not None and grad.shape == mask_t.shape:
-                grad = np.multiply(
-                    grad,
-                    mask_t,
-                    out=pool.scratch(
-                        "conv1d.gmask",
-                        grad.shape,
-                        grad.dtype,
-                        like=result_template(grad.shape, grad, mask_t),
-                    ),
-                )
-            else:
-                grad = grad * mask_t
-        grad_out = grad.transpose(0, 2, 1)  # (B, out_t, C_out)
+            np.multiply(rows, mask, out=rows)
+        g_flat = grid.reshape(-1, out_channels)
+        g = g_flat[:n]
         if weight.requires_grad:
-            rows = grad_out.shape[0] * grad_out.shape[1]
-            cols_flat = cols.reshape(rows, -1)
-            if pool is not None:
-                flat_grad = pool.scratch("conv1d.gflat", (rows, out_channels), grad_out.dtype)
-                np.copyto(flat_grad.reshape(grad_out.shape), grad_out)
-                grad_w = np.matmul(
-                    flat_grad.T,
-                    cols_flat,
-                    out=pool.scratch("conv1d.gw", (out_channels, cols_flat.shape[1]), grad_out.dtype),
-                )
+            shape = (kernel, out_channels, in_channels)
+            if pool is None:
+                grad_taps = np.empty(shape, out.dtype)
             else:
-                grad_w = grad_out.reshape(rows, out_channels).T @ cols_flat
-            weight._accumulate(grad_w.reshape(weight.shape))
+                grad_taps = pool.scratch("conv1d.gw", shape, out.dtype)
+            for k in range(kernel):
+                np.matmul(g.T, x_flat[k * dilation : k * dilation + n], out=grad_taps[k])
+            weight._accumulate(np.ascontiguousarray(grad_taps.transpose(1, 2, 0)))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_out.sum(axis=(0, 1)))
+            # reduced from the grid, whose layout is the same whether or not
+            # the ReLU is fused, so both graphs sum in one order; einsum adds
+            # row by row like sum(axis=0), without its per-row loop overhead
+            bias._accumulate(np.einsum("ij->j", g_flat))
         if x.requires_grad:
-            if pool is not None and grad_out.dtype == w_flat.dtype:
-                grad_cols = np.matmul(
-                    grad_out,
-                    w_flat,
-                    out=pool.scratch(
-                        "conv1d.gcols", (batch, out_t, in_channels * kernel), grad_out.dtype
-                    ),
-                )
+            taps = np.ascontiguousarray(weight.data.transpose(2, 0, 1))  # tap k: W[:, :, k]
+            shape = (batch * padded_length, in_channels)
+            if pool is None:
+                grad_x, product = np.empty(shape, out.dtype), None
             else:
-                grad_cols = grad_out @ w_flat  # (B, out_t, C_in*K)
-            grad_padded = _col2im_1d(grad_cols, x_padded_shape, kernel, stride, dilation)
-            if padding:
-                grad_padded = grad_padded[:, :, padding:-padding]
-            x._accumulate(grad_padded)
+                grad_x = pool.scratch("conv1d.gx", shape, out.dtype)
+                product = pool.scratch("conv1d.gtap", (n, in_channels), out.dtype)
+            np.matmul(g, taps[0], out=grad_x[:n])
+            grad_x[n:] = 0
+            for k in range(1, kernel):
+                grad_x[k * dilation : k * dilation + n] += np.matmul(g, taps[k], out=product)
+            grad_x = grad_x.reshape(batch, padded_length, in_channels)
+            x._accumulate(grad_x[:, padding : padding + length].transpose(0, 2, 1))
 
     return Tensor._make(out, parents, backward)
 
@@ -318,6 +233,23 @@ def _col2im_2d_reference(
                 0, 3, 1, 2
             )
     return grad_x
+
+
+#: memoized flat scatter indices for the vectorized col2im kernel — shapes
+#: repeat every batch, so the index arithmetic is paid once per shape
+_COL2IM_INDEX_CACHE: dict[tuple, np.ndarray] = {}
+_COL2IM_INDEX_CACHE_MAX = 32
+
+
+def _cached_scatter_index(key: tuple, build) -> np.ndarray:
+    index = _COL2IM_INDEX_CACHE.get(key)
+    if index is None:
+        while len(_COL2IM_INDEX_CACHE) >= _COL2IM_INDEX_CACHE_MAX:
+            # evict the oldest entry only (insertion order), so a working set
+            # spanning many conv shapes never drops its hot entries wholesale
+            _COL2IM_INDEX_CACHE.pop(next(iter(_COL2IM_INDEX_CACHE)))
+        index = _COL2IM_INDEX_CACHE[key] = build()
+    return index
 
 
 def _col2im_2d(

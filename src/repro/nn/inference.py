@@ -7,10 +7,13 @@ each with the estimator's :class:`~repro.nn.arena.StepArena` as the buffer
 pool.  This module holds what that path shares with training:
 
 * :func:`conv1d_forward` / :func:`conv2d_forward` — the convolution forward
-  arithmetic (pad → per-tap im2col → matmul → bias → fused ReLU) on raw
-  arrays.  :func:`repro.nn.functional.conv1d` / ``conv2d`` add the input
-  checks and the backward closure on top; under ``no_grad()`` the patch
-  matrix and mask go to arena scratch because no backward pass reads them.
+  arithmetic on raw arrays: conv1d pads channels-last and runs one GEMM per
+  kernel tap; conv2d pads, builds the im2col patch matrix and runs one
+  GEMM; both then add the bias and apply the fused ReLU.
+  :func:`repro.nn.functional.conv1d` / ``conv2d`` add the input checks and
+  the backward closure on top; under ``no_grad()`` the padded input (conv1d)
+  or patch matrix (conv2d) and the mask go to arena scratch because no
+  backward pass reads them.
 * :func:`fold_conv_bn` / :func:`fold_batchnorms` — eval-time BatchNorm
   folding: a BN layer in eval mode is an affine transform per channel, which
   folds into the preceding convolution's weights
@@ -35,35 +38,8 @@ DEFAULT_SERVING_BATCH_SIZE = 256
 
 
 # --------------------------------------------------------------------------- #
-# im2col
+# im2col (2-D)
 # --------------------------------------------------------------------------- #
-def _im2col_1d(
-    x: np.ndarray, kernel: int, stride: int, dilation: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Turn ``(B, C, T_padded)`` into ``(B, out_t, C*kernel)`` patches.
-
-    ``out`` optionally receives the patch matrix (an arena buffer of shape
-    ``(B, out_t, C*kernel)``); the copy into it materialises the identical
-    element order the ``ascontiguousarray`` path produces.
-    """
-    batch, channels, length = x.shape
-    span = (kernel - 1) * dilation + 1
-    out_t = (length - span) // stride + 1
-    if out is None:
-        out = np.empty((batch, out_t, channels * kernel), dtype=x.dtype)
-    # fill tap by tap: each tap is one long strided slice of x, so the copy
-    # runs K large memmoves instead of one gather with a K-element inner
-    # loop (3-4x faster for the K=3 trunk convs); a copy is a copy — the
-    # element values (and the C-contiguous patch layout) are identical to
-    # the old transpose-gather
-    taps = out.reshape(batch, out_t, channels, kernel)
-    end = (out_t - 1) * stride + 1
-    for k in range(kernel):
-        offset = k * dilation
-        taps[:, :, :, k] = x[:, :, offset : offset + end : stride].transpose(0, 2, 1)
-    return out
-
-
 def _im2col_2d(
     x: np.ndarray,
     kernel: tuple[int, int],
@@ -72,7 +48,9 @@ def _im2col_2d(
 ) -> np.ndarray:
     """Turn ``(B, C, H, W)`` into ``(B, out_h, out_w, C*kh*kw)`` patches.
 
-    ``out`` optionally receives the patch matrix (see :func:`_im2col_1d`).
+    ``out`` optionally receives the patch matrix (an arena buffer of that
+    shape); the copy into it materialises the identical element order the
+    ``ascontiguousarray`` path produces.
     """
     kh, kw = kernel
     sh, sw = stride
@@ -107,21 +85,16 @@ def _pad(x: np.ndarray, widths: tuple[int, ...], tag: str, arena) -> np.ndarray:
     return padded
 
 
-def _project(cols: np.ndarray, weight: np.ndarray, bias, relu: bool, arena, pool, tag: str):
-    """``cols @ W^T + b`` with the fused ReLU; returns ``(out, mask)``.
+def _activate(out: np.ndarray, bias, relu: bool, pool, tag: str):
+    """Add the bias and apply the fused ReLU to channels-last ``out``; returns
+    ``(out, mask)``.
 
-    ``out`` is the channels-first view of the channels-last product.  The
-    ReLU is ``out * (out > 0)`` (not ``np.maximum``) so -0.0 keeps its sign
-    bit exactly like the decomposed ``relu`` node; the mask stays in the
-    channels-last layout, which the elementwise product does not notice.
+    ``out`` comes back as the channels-first view of the channels-last
+    array.  The ReLU is ``out * (out > 0)`` (not ``np.maximum``) so -0.0
+    keeps its sign bit exactly like the decomposed ``relu`` node; the mask
+    stays in the channels-last layout, which the elementwise product does
+    not notice.
     """
-    out_channels = weight.shape[0]
-    w_flat = weight.reshape(out_channels, -1)  # (C_out, C_in*taps)
-    if arena is not None and cols.dtype == w_flat.dtype:
-        shape = (*cols.shape[:-1], out_channels)
-        out = np.matmul(cols, w_flat.T, out=arena.buffer(f"{tag}.out", shape, cols.dtype))
-    else:
-        out = cols @ w_flat.T
     if bias is not None:
         if bias.dtype == out.dtype:
             out += bias
@@ -129,12 +102,25 @@ def _project(cols: np.ndarray, weight: np.ndarray, bias, relu: bool, arena, pool
             out = out + bias
     mask = None
     if relu:
-        if arena is not None:
+        if pool is not None:
             mask = np.greater(out, 0, out=pool(f"{tag}.mask", out.shape, np.bool_))
         else:
             mask = out > 0
         np.multiply(out, mask, out=out)
     return out.transpose(0, out.ndim - 1, *range(1, out.ndim - 1)), mask
+
+
+def _project(cols: np.ndarray, weight: np.ndarray, bias, relu: bool, arena, pool, tag: str):
+    """``cols @ W^T + b`` with the fused ReLU; returns ``(out, mask)`` as
+    :func:`_activate` does."""
+    out_channels = weight.shape[0]
+    w_flat = weight.reshape(out_channels, -1)  # (C_out, C_in*taps)
+    if arena is not None and cols.dtype == w_flat.dtype:
+        shape = (*cols.shape[:-1], out_channels)
+        out = np.matmul(cols, w_flat.T, out=arena.buffer(f"{tag}.out", shape, cols.dtype))
+    else:
+        out = cols @ w_flat.T
+    return _activate(out, bias, relu, pool, tag)
 
 
 def conv1d_forward(
@@ -150,25 +136,46 @@ def conv1d_forward(
 ):
     """1-D convolution of ``(B, C_in, T)`` by ``(C_out, C_in, K)`` on raw arrays.
 
-    Returns ``(out, cols, mask)``: the ``(B, C_out, T_out)`` output (a
-    transposed view of a ``(B, T_out, C_out)`` array), the
-    ``(B, T_out, C_in*K)`` patch matrix and the ReLU mask (``None`` without
-    ``relu``).  With an active :class:`~repro.nn.arena.StepArena` nothing is
-    allocated in steady state: the output takes a step-lived buffer, the
-    padded input takes scratch, and the patch matrix and mask take step-lived
-    buffers when ``requires_grad`` (a backward pass reads them) or scratch
-    otherwise.
+    One GEMM per kernel tap, no patch matrix (the kn2row formulation): the
+    input is zero-padded into a channels-last ``(B, T_pad, C_in)`` buffer,
+    and tap ``k`` multiplies the strided rows ``k·d, k·d + s, …`` of every
+    series by ``W[:, :, k]^T``, accumulating into the ``(B, T_out, C_out)``
+    output.  Each GEMM runs per series with ``T_out`` rows whatever the batch
+    size, so a row's result never depends on the rows batched with it.
+
+    Returns ``(out, x_padded, mask)``: the ``(B, C_out, T_out)`` output (a
+    transposed view of the channels-last array), the padded channels-last
+    input and the ReLU mask (``None`` without ``relu``).  With an active
+    :class:`~repro.nn.arena.StepArena` nothing is allocated in steady state:
+    the output takes a step-lived buffer, the tap products take scratch, and
+    the padded input and mask take step-lived buffers when ``requires_grad``
+    (a backward pass reads them) or scratch otherwise.
     """
     arena = active_arena()
     pool = None if arena is None else arena.buffer if requires_grad else arena.scratch
-    x_padded = _pad(x, (padding,), "conv1d", arena)
-    batch, channels, length = x_padded.shape
-    kernel = weight.shape[2]
-    out_t = (length - (kernel - 1) * dilation - 1) // stride + 1
-    out = None if pool is None else pool("conv1d.cols", (batch, out_t, channels * kernel), x.dtype)
-    cols = _im2col_1d(x_padded, kernel, stride, dilation, out=out)  # (B, out_t, C_in*K)
-    out, mask = _project(cols, weight, bias, relu, arena, pool, "conv1d")
-    return out, cols, mask
+    batch, in_channels, length = x.shape
+    out_channels, _, kernel = weight.shape
+    padded_length = length + 2 * padding
+    out_t = (padded_length - (kernel - 1) * dilation - 1) // stride + 1
+    # a trunk conv's input is the channels-first view of the previous conv's
+    # channels-last output, so this fill is a plain copy
+    shape = (batch, padded_length, in_channels)
+    x_padded = np.empty(shape, x.dtype) if pool is None else pool("conv1d.pad", shape, x.dtype)
+    x_padded[:, :padding] = 0
+    x_padded[:, padding + length :] = 0
+    x_padded[:, padding : padding + length] = x.transpose(0, 2, 1)
+    taps = np.ascontiguousarray(weight.transpose(2, 1, 0))  # tap k: W[:, :, k]^T
+    dtype = np.result_type(x_padded, taps)
+    shape = (batch, out_t, out_channels)
+    out = np.empty(shape, dtype) if arena is None else arena.buffer("conv1d.out", shape, dtype)
+    product = None if arena is None else arena.scratch("conv1d.tap", shape, dtype)
+    end = (out_t - 1) * stride + 1
+    np.matmul(x_padded[:, :end:stride], taps[0], out=out)
+    for k in range(1, kernel):
+        rows = x_padded[:, k * dilation : k * dilation + end : stride]  # (B, T_out, C_in)
+        out += np.matmul(rows, taps[k], out=product)
+    out, mask = _activate(out, bias, relu, pool, "conv1d")
+    return out, x_padded, mask
 
 
 def conv2d_forward(
@@ -185,8 +192,9 @@ def conv2d_forward(
 
     Returns ``(out, cols, mask)`` with ``out`` a ``(B, C_out, H_out, W_out)``
     view of a ``(B, H_out, W_out, C_out)`` array and ``cols`` the
-    ``(B, H_out, W_out, C_in*kh*kw)`` patch matrix; pooling exactly as in
-    :func:`conv1d_forward`.
+    ``(B, H_out, W_out, C_in*kh*kw)`` patch matrix.  Pooling as in
+    :func:`conv1d_forward`, except that the padded input always takes scratch
+    and the patch matrix takes the padded input's place.
     """
     stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
     padding = (padding, padding) if isinstance(padding, int) else tuple(padding)

@@ -2,10 +2,11 @@
 
 Every conv forward, input gradient and weight gradient is a BLAS GEMM.
 OpenBLAS splits a GEMM across its threads only above a size cutoff, so the
-fit runs at the default ``AimTSConfig`` widths (weight GEMMs of about
-16 x 48 x 7,680 multiply-adds), not at a tiny test config that could stay on
-one thread.  OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when NumPy loads,
-so each thread count runs in a fresh interpreter.
+fit runs at the default ``AimTSConfig`` widths (conv1d weight GEMMs of about
+16 x 16 x 7,840 multiply-adds per kernel tap, still above that cutoff), not
+at a tiny test config that could stay on one thread.  OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` once, when NumPy loads, so each thread count runs in
+a fresh interpreter.
 
 Run as a script, ``python tests/test_blas_threads.py`` performs one 1-epoch
 fit and prints its curves and a SHA-256 of every ``state_dict`` entry of

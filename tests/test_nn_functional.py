@@ -180,24 +180,58 @@ def _check_against_finite_differences(node, arrays, rng, arena):
         _numeric_check(scalar, array, tensor.grad)
 
 
+def _conv_by_definition(x, w, b, *, stride=1, padding=0, dilation=1):
+    """The convolution as a direct sum over an explicitly zero-padded input,
+    ``out[n, o, t] = b[o] + sum_{c, k} w[o, c, k] * x_pad[n, c, t*s + k*d]``
+    per spatial axis, and the same sum over absolute values (its rounding
+    scale)."""
+    dims = x.ndim - 2
+
+    def per_axis(value):
+        return (value,) * dims if isinstance(value, int) else tuple(value)
+
+    stride, padding, dilation = per_axis(stride), per_axis(padding), per_axis(dilation)
+    padded = np.pad(x, [(0, 0), (0, 0), *((p, p) for p in padding)])
+    spans = [(k - 1) * d + 1 for k, d in zip(w.shape[2:], dilation)]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, spans, axis=tuple(range(2, 2 + dims)))
+    steps = (*(slice(None, None, s) for s in stride), *(slice(None, None, d) for d in dilation))
+    windows = windows[(..., *steps)]
+    positions, taps = "tu"[:dims], "kl"[:dims]
+    spec = f"nc{positions}{taps},oc{taps}->no{positions}"
+    bias = b.reshape(-1, *(1,) * dims)
+    return (
+        np.einsum(spec, windows, w) + bias,
+        np.einsum(spec, np.abs(windows), np.abs(w)) + np.abs(bias),
+    )
+
+
 def _check_conv_against_finite_differences(conv, seed, x_shape, w_shape, relu, arena, **kwargs):
-    """Autograd x/weight/bias gradients of ``sum(conv(x, w, b) * g)`` against
-    central differences, with the node run under a fresh arena or none."""
+    """The node's output against the convolution's definition (relative
+    1e-12), and its autograd x/weight/bias gradients of
+    ``sum(conv(x, w, b) * g)`` against central differences, with the node
+    run under a fresh arena or none."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=x_shape)
     w = rng.normal(size=w_shape)
     b = rng.normal(size=w_shape[0])
-    pre_activation = conv(Tensor(x), Tensor(w), Tensor(b), **kwargs).data
+    expected, scale = _conv_by_definition(x, w, b, **kwargs)
     # the finite differences must not step across the ReLU's kink
-    assume(not relu or np.abs(pre_activation).min() > 1e-3)
+    assume(not relu or np.abs(expected).min() > 1e-3)
+    if relu:
+        expected = expected * (expected > 0)
+    with use_arena(StepArena()) if arena else contextlib.nullcontext():
+        out = conv(Tensor(x), Tensor(w), Tensor(b), relu=relu, **kwargs).data
+    assert out.shape == expected.shape
+    assert np.all(np.abs(out - expected) <= 1e-12 * scale)
     _check_against_finite_differences(
         lambda x, w, b: conv(x, w, b, relu=relu, **kwargs), [x, w, b], rng, arena
     )
 
 
 class TestConvGradientProperties:
-    """float64 conv gradients (GEMM weight gradient, col2im input gradient,
-    fused ReLU, arena-pooled buffers) against finite differences."""
+    """float64 conv outputs against the definition, and conv gradients
+    (conv1d's per-tap GEMMs, conv2d's GEMM weight gradient and col2im input
+    gradient, fused ReLU, arena-pooled buffers) against finite differences."""
 
     @settings(max_examples=25, deadline=None)
     @given(

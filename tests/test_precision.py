@@ -3,9 +3,9 @@
 PR 4 threads the ``DtypePolicy`` through the whole compute core and adds the
 fused no-grad inference path.  These tests pin the contract:
 
-* the float64 path stays the bit-exact reference (vectorized col2im, in
-  float64 and float32, and the pooling rewrite are bit-identical to their
-  loop predecessors),
+* the float64 path stays the bit-exact reference (conv2d's vectorized
+  col2im, in float64 and float32, and the pooling rewrite are bit-identical
+  to their loop predecessors),
 * float32 training tracks the float64 loss curves within tolerance,
 * inference (``Module.forward`` under ``no_grad()`` in a ``StepArena``,
   BN folded at load) is equivalent to the grad-enabled eval-mode forward —
@@ -29,7 +29,7 @@ from repro.data.loaders import z_normalize
 from repro.encoders import ImageEncoder, TSEncoder
 from repro.nn import functional as F
 from repro.nn.arena import StepArena, use_arena
-from repro.nn.inference import fold_batchnorms
+from repro.nn.inference import batched_infer, fold_batchnorms
 from repro.nn.layers import BatchNorm1d, Conv1d
 from repro.nn.tensor import Tensor, default_dtype, get_default_dtype, no_grad
 
@@ -109,27 +109,6 @@ def _in_both_dtypes(cases):
 
 class TestVectorizedKernels:
     @pytest.mark.parametrize(
-        "shape,kernel,stride,dilation,dtype",
-        _in_both_dtypes(
-            [
-                ((2, 3, 17), 3, 1, 1),
-                ((2, 3, 33), 3, 2, 2),
-                ((1, 2, 40), 5, 3, 1),
-                ((3, 1, 96), 3, 1, 4),
-            ]
-        ),
-    )
-    def test_col2im_1d_bit_identical(self, shape, kernel, stride, dilation, dtype):
-        batch, channels, length = shape
-        span = (kernel - 1) * dilation + 1
-        out_t = (length - span) // stride + 1
-        cols = np.random.default_rng(1).normal(size=(batch, out_t, channels * kernel)).astype(dtype)
-        fast = F._col2im_1d(cols, shape, kernel, stride, dilation)
-        reference = F._col2im_1d_reference(cols, shape, kernel, stride, dilation)
-        assert fast.dtype == reference.dtype == dtype
-        assert np.array_equal(fast, reference)
-
-    @pytest.mark.parametrize(
         "shape,kernel,stride,dtype",
         _in_both_dtypes([((2, 3, 9, 9), 3, 1), ((2, 3, 16, 16), 3, 2), ((1, 2, 12, 12), 4, 3)]),
     )
@@ -144,11 +123,6 @@ class TestVectorizedKernels:
         reference = F._col2im_2d_reference(cols, shape, (kernel, kernel), (stride, stride))
         assert fast.dtype == reference.dtype == dtype
         assert np.array_equal(fast, reference)
-
-    def test_col2im_1d_float32_round_trips_dtype(self):
-        cols = np.random.default_rng(3).normal(size=(2, 15, 6)).astype(np.float32)
-        out = F._col2im_1d(cols, (2, 2, 17), 3, 1, 1)
-        assert out.dtype == np.float32
 
     @pytest.mark.parametrize("length,output_size", [(96, 4), (96, 5), (100, 7), (64, 64)])
     def test_adaptive_avg_pool1d_matches_slice_concat_path(self, length, output_size):
@@ -286,9 +260,22 @@ class TestFusedInference:
         pretrainer.fit(pool)
         X = np.random.default_rng(8).normal(size=(20, 2, 64))
         full = pretrainer.encode(X)
-        for start, stop in ((0, 1), (3, 7), (10, 20)):
+        spans = [(0, size) for size in range(1, 17)] + [(3, 7), (10, 20)]
+        for start, stop in spans:
             sub = pretrainer.encode(X[start:stop])
             np.testing.assert_array_equal(sub, full[start:stop])
+        # the default AimTSConfig trunk (16 channels, dilations 1 and 2) in
+        # both dtypes, on one reused workspace as a serving replica runs it
+        for dtype in (np.float64, np.float32):
+            with default_dtype(dtype):
+                encoder = TSEncoder(hidden_channels=16, repr_dim=32, depth=2, rng=5)
+            X = np.random.default_rng(14).normal(size=(16, 3, 96)).astype(dtype)
+            workspace = StepArena()
+            full = batched_infer(encoder, X, batch_size=16, workspace=workspace)
+            assert full.dtype == dtype
+            for size in range(1, 17):
+                sub = batched_infer(encoder, X[:size], batch_size=16, workspace=workspace)
+                np.testing.assert_array_equal(sub, full[:size])
 
     def test_predict_logits_fused_matches_unfused(self):
         finetuner, X = _fitted_finetuner()

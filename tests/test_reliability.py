@@ -316,11 +316,17 @@ class _KillProducerAfterEpochZero(_CutPoolTimeouts):
             _kill(_child("batch producer 0"))
 
 
-def _killed_run(kill: Callback | None = None, **knobs) -> dict:
-    """A TINY AimTS fit, with a pool child killed by ``kill`` when given."""
+def _killed_run(kill: Callback | None = None, *, refit: bool = False, **knobs) -> dict:
+    """A TINY AimTS fit, with a pool child killed by ``kill`` when given.
+
+    With ``refit`` the model first fits once without a restart policy, so the
+    reported fit runs on that fit's live pools, armed only afterwards.
+    """
     model = AimTSPretrainer(AimTSConfig(**TINY, **knobs))
-    model.restart_policy = RestartPolicy(2, sleep=no_sleep)
     try:
+        if refit:
+            model.fit(tiny_pool())
+        model.restart_policy = RestartPolicy(2, sleep=no_sleep)
         history = model.fit(tiny_pool(), callbacks=[kill] if kill is not None else [])
         pool = model._worker_pool or model._producer_pool
         return {
@@ -456,6 +462,12 @@ class TestKilledChildren:
         assert killed["state"].keys() == reference["state"].keys()
         for key, value in reference["state"].items():
             np.testing.assert_array_equal(killed["state"][key], value, err_msg=key)
+
+    def test_policy_set_after_the_first_fit_reaches_the_live_pool(self):
+        reference = _killed_run(refit=True, n_workers=2)
+        killed = _killed_run(_KillWorkerZeroAtEpochOne(), refit=True, n_workers=2)
+        assert killed["restarts"] == 1
+        assert killed["curve"] == reference["curve"]
 
     def test_killed_producer_is_replaced(self):
         reference = _killed_run(n_producers=1, prefetch_depth=2)
